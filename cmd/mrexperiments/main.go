@@ -143,6 +143,13 @@ func main() {
 		}
 		return false
 	}
+	// Reject a bad -parallel/-lookahead before any artifact runs.
+	if need("stream") {
+		if err := streamSpec(env).Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 	if need("fig4") || need("fig7") {
 		exp4 = env.Fig4()
 	}
@@ -357,12 +364,8 @@ func stream(env experiments.Env) {
 		r.MakespanDefault, r.MakespanMron)
 
 	header("Extension: continuous serving (1h stream, 10,016 nodes, fair share)")
-	spec := experiments.DefaultStreamSpec(env.Seed)
-	spec.HorizonSecs = 3600
-	spec.Parallel = env.Parallel
-	spec.Lookahead = env.Lookahead
+	spec := streamSpec(env)
 	if env.Parallel > 0 {
-		spec.Faults = env.FaultSpec
 		fmt.Printf("rack-cell mode: %d window workers\n", env.Parallel)
 	}
 	fmt.Printf("%-10s %6s %10s %9s %9s %9s\n",
@@ -384,6 +387,20 @@ func stream(env experiments.Env) {
 	}
 	fmt.Println("\nper-class latency (default leg):")
 	defStats.WriteSummary(os.Stdout)
+}
+
+// streamSpec is the continuous-serving leg: one simulated hour of the
+// flagship stream, on the rack-cell path (with the -faults spec) when
+// -parallel is set.
+func streamSpec(env experiments.Env) experiments.StreamSpec {
+	spec := experiments.DefaultStreamSpec(env.Seed)
+	spec.HorizonSecs = 3600
+	spec.Parallel = env.Parallel
+	spec.Lookahead = env.Lookahead
+	if env.Parallel > 0 {
+		spec.Faults = env.FaultSpec
+	}
+	return spec
 }
 
 func faultRecovery(env experiments.Env) {

@@ -232,6 +232,10 @@ func runStream(env experiments.Env, hours float64, strategy string, parallel int
 	spec.Parallel = parallel
 	spec.Lookahead = lookahead
 	spec.Faults = env.FaultSpec
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	res := experiments.RunStream(spec)
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)

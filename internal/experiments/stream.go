@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -109,13 +110,6 @@ type StreamSpec struct {
 	// one. Pass a store to persist learning across stream runs.
 	Store *tuner.Store
 
-	// Legacy disables every steady-state optimization — no object pool,
-	// no precompiled config snapshots, no input release, and a
-	// grow-forever trace.Recorder teeing off the stats sink — restoring
-	// the pre-PR per-job costs. It exists for the A/B benchmark; results
-	// are byte-identical to the optimized path, only slower and bigger.
-	Legacy bool
-
 	// Sink, when non-nil, additionally receives every trace event
 	// (tee'd with the internal stats sink).
 	Sink trace.Sink
@@ -126,15 +120,16 @@ type StreamSpec struct {
 	// the faults that land on its nodes.
 	Faults *faults.Spec
 
-	// Parallel, when positive, runs the stream on the rack-cell
-	// architecture with parallel windows: each rack is a self-contained
-	// cell (scoped resource manager, scoped single-rack namenode,
-	// rack-local fabric, private stats sink) and the only cross-shard
-	// traffic is job submission, delivered by Send with delay
-	// StreamSubmitDelaySecs. Workers drain rack windows concurrently;
-	// results are identical at any worker count (pinned by tests).
-	// Parallel is incompatible with WarmStart, Legacy, and Sink —
-	// those paths retain cross-cell state on the system shard.
+	// Parallel, when positive, runs the stream as one cell per rack
+	// under parallel windows instead of as a single cell spanning the
+	// cluster. Both are the same serving loop; only the cells differ.
+	// A rack cell is self-contained (scoped resource manager, scoped
+	// single-rack namenode, rack-local fabric, private stats sink), and
+	// the only cross-shard traffic is job submission, delivered by Send
+	// with delay StreamSubmitDelaySecs. Workers drain rack windows
+	// concurrently; results are identical at any worker count (pinned
+	// by tests). Parallel is incompatible with WarmStart and Sink —
+	// both would retain cross-cell state on the system shard.
 	Parallel int
 	// Lookahead is the parallel-window width in simulated seconds
 	// (0 = DefaultStreamLookahead). It must not exceed
@@ -194,10 +189,6 @@ type StreamResult struct {
 	Events     uint64
 	SinkEvents int
 
-	// RetainedEvents is the legacy recorder's length: O(total events)
-	// in Legacy mode, 0 on the optimized path.
-	RetainedEvents int
-
 	// Stats holds the per-class aggregates the run folded into.
 	Stats *trace.StatsSink
 
@@ -218,26 +209,101 @@ func (r *StreamResult) Report() string {
 	return b.String()
 }
 
+// Validate reports the first reason the spec cannot run: a job class
+// without positive weight, or a rack-cell run (Parallel > 0) combined
+// with cross-cell state (WarmStart, Sink) or a lookahead outside
+// (0, StreamSubmitDelaySecs].
+func (s StreamSpec) Validate() error {
+	for _, cl := range s.Classes {
+		if cl.Weight <= 0 {
+			return fmt.Errorf("experiments: stream class %s needs positive weight", cl.Bench.Name)
+		}
+	}
+	if s.Parallel <= 0 && !s.cellSerial {
+		return nil
+	}
+	switch {
+	case s.WarmStart:
+		return errors.New("experiments: stream Parallel is incompatible with WarmStart (the shared store is cross-cell state)")
+	case s.Sink != nil:
+		return errors.New("experiments: stream Parallel is incompatible with Sink (an external sink is cross-cell state)")
+	}
+	if la := s.lookahead(); la < 0 || la > StreamSubmitDelaySecs {
+		return fmt.Errorf("experiments: stream lookahead %v outside (0, %v]", la, StreamSubmitDelaySecs)
+	}
+	return nil
+}
+
+func (s StreamSpec) lookahead() float64 {
+	if s.Lookahead == 0 {
+		return DefaultStreamLookahead
+	}
+	return s.Lookahead
+}
+
+// streamCell is one self-contained serving stack: everything a job
+// touches after submission lives on the cell's shard. The classic run
+// is a single cell spanning the cluster on the system shard; the
+// rack-cell run has one cell per rack, and those drain concurrently
+// inside parallel windows with no shared state.
+type streamCell struct {
+	shard     *sim.Shard
+	rm        *yarn.ResourceManager
+	fs        *hdfs.FileSystem
+	stats     *trace.StatsSink
+	sink      trace.Sink // stats, tee'd with StreamSpec.Sink when set
+	pool      *mapreduce.Pool
+	hooks     mapreduce.FaultHooks
+	tunerFree [][]*core.Tuner // per class: Reset keeps task-count-sized capacity
+
+	completed int
+	totalDur  float64
+	makespan  float64
+}
+
+func newStreamCell(shard *sim.Shard, classes int) *streamCell {
+	stats := trace.NewStatsSink()
+	return &streamCell{
+		shard:     shard,
+		stats:     stats,
+		sink:      stats,
+		pool:      mapreduce.NewPool(),
+		tunerFree: make([][]*core.Tuner, classes),
+	}
+}
+
+// injectFaults attaches an injector for spec, drawing from src, to
+// the cell.
+func (cell *streamCell) injectFaults(c *cluster.Cluster, src *sim.Source, spec faults.Spec) {
+	inj, err := faults.New(c, src, spec, cell.sink)
+	if err != nil {
+		panic(err)
+	}
+	cell.hooks = inj
+}
+
 // RunStream executes one continuous-serving run to completion: every
 // arrival inside the horizon is submitted (subject to MaxJobs) and the
-// engine drains until the last job finishes. Parallel > 0 selects the
-// rack-cell architecture (see StreamSpec.Parallel); the default path
-// is the serial single-RM reference the figure pipeline pins.
+// engine drains until the last job finishes. Arrivals are drawn on the
+// system shard and dealt round-robin to the run's cells; a cell on
+// another shard receives its jobs by Send (the run's only cross-shard
+// edge). By default there is one cell, the serial single-RM reference
+// the figure pipeline pins; Parallel > 0 selects one cell per rack
+// (see StreamSpec.Parallel). RunStream panics on a spec Validate
+// rejects.
 func RunStream(spec StreamSpec) StreamResult {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	classes := spec.Classes
 	if classes == nil {
 		classes = DefaultStreamClasses()
 	}
 	totalWeight := 0
 	for _, cl := range classes {
-		if cl.Weight <= 0 {
-			panic(fmt.Sprintf("experiments: stream class %s needs positive weight", cl.Bench.Name))
-		}
 		totalWeight += cl.Weight
 	}
-	if spec.Parallel > 0 || spec.cellSerial {
-		return runStreamCells(spec, classes, totalWeight)
-	}
+	rackCells := spec.Parallel > 0 || spec.cellSerial
 
 	eng := sim.NewEngine()
 	eng.MaxEvents = 2_000_000_000
@@ -253,53 +319,45 @@ func RunStream(spec StreamSpec) StreamResult {
 		DiskMBps:       90,
 		NICMBps:        117,
 		// ~4:1 oversubscribed uplink for a 32-node rack of 1 GbE nodes.
-		UplinkMBps: 1000,
+		UplinkMBps:   1000,
+		RackLocalNet: rackCells,
 	})
-	rm := yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
+	if spec.Parallel > 0 {
+		eng.EnableParallelWindows(spec.Parallel, spec.lookahead())
+	}
 	src := sim.NewSource(spec.Seed)
-	fs := hdfs.New(c, src.Stream("hdfs"))
-
-	stats := trace.NewStatsSink()
-	var sink trace.Sink = stats
-	var legacyRec *trace.Recorder
-	if spec.Legacy {
-		legacyRec = &trace.Recorder{}
-		sink = trace.Tee(stats, legacyRec)
-	}
-	if spec.Sink != nil {
-		sink = trace.Tee(sink, spec.Sink)
-	}
-
-	var hooks mapreduce.FaultHooks
-	if spec.Faults != nil {
-		inj, err := faults.New(c, src, *spec.Faults, sink)
-		if err != nil {
-			panic(err)
-		}
-		hooks = inj
-	}
-
+	sys := c.Sys()
 	base := mrconf.Default()
-	var pool *mapreduce.Pool
-	var pre *mapreduce.PrecompiledConfig
-	if !spec.Legacy {
-		pool = mapreduce.NewPool()
-		pre = mapreduce.Precompile(base)
-	}
+	// The precompiled snapshot is immutable after construction, so one
+	// copy serves every cell.
+	pre := mapreduce.Precompile(base)
 
-	// Tuner recycling: per-class free lists, since Reset keeps the
-	// monitor's report-slice capacity which is sized by task counts.
-	tunerFree := make([][]*core.Tuner, len(classes))
-	getTuner := func(ci int, name string, b workload.Benchmark, seq int) *core.Tuner {
-		if n := len(tunerFree[ci]); n > 0 {
-			tu := tunerFree[ci][n-1]
-			tunerFree[ci][n-1] = nil
-			tunerFree[ci] = tunerFree[ci][:n-1]
-			tu.Reset(name, b.NumMaps, b.NumReduces, base)
-			return tu
+	var cells []*streamCell
+	if rackCells {
+		cells = make([]*streamCell, spec.Racks)
+		for r := range cells {
+			rackSrc := src.Sub(fmt.Sprintf("rack%03d", r))
+			cell := newStreamCell(c.RackShard(r), len(classes))
+			cell.rm = yarn.NewScopedResourceManager(eng, c, yarn.FairScheduler{}, r)
+			cell.fs = hdfs.NewScoped(c, rackSrc.Stream("hdfs"), r)
+			if spec.Faults != nil {
+				cell.injectFaults(c, rackSrc, spec.Faults.FilterNodes(func(node int) bool {
+					return c.Nodes[node].Rack == r
+				}))
+			}
+			cells[r] = cell
 		}
-		return core.NewTuner(name, b.NumMaps, b.NumReduces, base,
-			core.TunerOptions{Strategy: core.Conservative, Seed: spec.Seed + uint64(seq)})
+	} else {
+		cell := newStreamCell(sys, len(classes))
+		cell.rm = yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
+		cell.fs = hdfs.New(c, src.Stream("hdfs"))
+		if spec.Sink != nil {
+			cell.sink = trace.Tee(cell.stats, spec.Sink)
+		}
+		if spec.Faults != nil {
+			cell.injectFaults(c, src, *spec.Faults)
+		}
+		cells = []*streamCell{cell}
 	}
 
 	classRNG := src.Sub("stream").Stream("classes")
@@ -314,6 +372,8 @@ func RunStream(spec StreamSpec) StreamResult {
 		return len(classes) - 1
 	}
 
+	// The warm-start store is shared by every job, so Validate keeps it
+	// to the single system-shard cell.
 	var store *tuner.Store
 	if spec.Tuned && spec.WarmStart {
 		store = spec.Store
@@ -322,194 +382,10 @@ func RunStream(spec StreamSpec) StreamResult {
 		}
 	}
 
-	res := StreamResult{Stats: stats}
+	res := StreamResult{}
 	if store != nil {
 		res.ClassWaves = make(map[string][]int)
 	}
-	totalDur := 0.0
-	submit := func(i int, t float64) {
-		if spec.MaxJobs > 0 && res.Jobs >= spec.MaxJobs {
-			return
-		}
-		res.Jobs++
-		ci := pickClass()
-		cl := classes[ci]
-		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
-		var ctrl mapreduce.Controller
-		var tun *core.Tuner
-		var warmKey string
-		if spec.Tuned {
-			if store != nil {
-				// Aggressive warm-start path: per-job tuner seeded from
-				// the class's best-known search state.
-				warmKey = tuner.Key(cl.Bench.Name, cl.Bench.InputSizeMB)
-				opts := core.TunerOptions{Strategy: core.Aggressive,
-					Seed: spec.Seed + uint64(i), Backend: spec.Backend}
-				if ent, ok := store.Get(warmKey); ok && ent.Usable() {
-					w := ent
-					opts.Warm = &w
-				}
-				tun = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base, opts)
-			} else {
-				tun = getTuner(ci, name, cl.Bench, i)
-			}
-			ctrl = tun
-		}
-		mapreduce.Submit(rm, fs, mapreduce.Spec{
-			Name:                 name,
-			Benchmark:            cl.Bench,
-			BaseConfig:           base,
-			Controller:           ctrl,
-			Trace:                sink,
-			Pool:                 pool,
-			Precompiled:          pre,
-			Faults:               hooks,
-			ReleaseInputOnFinish: !spec.Legacy,
-		}, func(rr mapreduce.Result) {
-			res.Completed++
-			totalDur += rr.Duration
-			if now := eng.Now(); now > res.Makespan {
-				res.Makespan = now
-			}
-			if tun != nil {
-				if store != nil {
-					store.Update(warmKey, tun.ExportWarm())
-					mw, rw := tun.TestWaves()
-					res.ClassWaves[cl.Bench.Name] = append(res.ClassWaves[cl.Bench.Name], mw+rw)
-				} else {
-					tunerFree[ci] = append(tunerFree[ci], tun)
-				}
-			}
-		})
-	}
-
-	_, err := workload.ScheduleArrivals(c.Sys(), src.Sub("stream"), workload.ArrivalSpec{
-		MeanPerHour:      spec.MeanPerHour,
-		DiurnalAmplitude: spec.DiurnalAmplitude,
-		Horizon:          spec.HorizonSecs,
-	}, submit)
-	if err != nil {
-		panic(err)
-	}
-	eng.Run()
-	if res.Completed != res.Jobs {
-		panic(fmt.Sprintf("experiments: stream completed %d of %d jobs", res.Completed, res.Jobs))
-	}
-	if res.Jobs > 0 {
-		res.MeanDur = totalDur / float64(res.Jobs)
-	}
-	res.Events = eng.Processed()
-	res.SinkEvents = stats.EventCount()
-	if legacyRec != nil {
-		res.RetainedEvents = legacyRec.Len()
-	}
-	return res
-}
-
-// streamCell is one rack's self-contained serving stack: everything a
-// job touches after submission lives on the rack's shard, so cells
-// drain concurrently inside parallel windows with no shared state.
-type streamCell struct {
-	shard     *sim.Shard
-	rm        *yarn.ResourceManager
-	fs        *hdfs.FileSystem
-	sink      *trace.StatsSink
-	pool      *mapreduce.Pool
-	hooks     mapreduce.FaultHooks
-	tunerFree [][]*core.Tuner
-
-	completed int
-	totalDur  float64
-	makespan  float64
-}
-
-// runStreamCells is RunStream on the rack-cell architecture: arrivals
-// are drawn on the system shard exactly as on the classic path, then
-// handed round-robin to per-rack cells via Send (the run's only
-// cross-shard edge). Per-cell results fold in rack order after the
-// drain, so every aggregate is identical at any worker count —
-// including cellSerial, the plain-engine reference leg.
-func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) StreamResult {
-	switch {
-	case spec.WarmStart:
-		panic("experiments: stream Parallel is incompatible with WarmStart (the shared store is cross-cell state)")
-	case spec.Legacy:
-		panic("experiments: stream Parallel is incompatible with Legacy (the recorder is cross-cell state)")
-	case spec.Sink != nil:
-		panic("experiments: stream Parallel is incompatible with Sink (an external sink is cross-cell state)")
-	}
-	la := spec.Lookahead
-	if la == 0 {
-		la = DefaultStreamLookahead
-	}
-	if la < 0 || la > StreamSubmitDelaySecs {
-		panic(fmt.Sprintf("experiments: stream lookahead %v outside (0, %v]", la, StreamSubmitDelaySecs))
-	}
-
-	eng := sim.NewEngine()
-	eng.MaxEvents = 2_000_000_000
-	sizes := make([]int, spec.Racks)
-	for i := range sizes {
-		sizes[i] = spec.NodesPerRack
-	}
-	c := cluster.New(eng, cluster.Config{
-		RackSizes:      sizes,
-		CoresPerNode:   8,
-		VCoresPerNode:  28,
-		ContainerMemMB: 6 * 1024,
-		DiskMBps:       90,
-		NICMBps:        117,
-		UplinkMBps:     1000,
-		RackLocalNet:   true,
-	})
-	if spec.Parallel > 0 {
-		eng.EnableParallelWindows(spec.Parallel, la)
-	}
-	src := sim.NewSource(spec.Seed)
-	base := mrconf.Default()
-	// The precompiled snapshot is immutable after construction, so one
-	// copy serves every cell.
-	pre := mapreduce.Precompile(base)
-
-	cells := make([]*streamCell, spec.Racks)
-	for r := range cells {
-		rackSrc := src.Sub(fmt.Sprintf("rack%03d", r))
-		cell := &streamCell{
-			shard:     c.RackShard(r),
-			sink:      trace.NewStatsSink(),
-			pool:      mapreduce.NewPool(),
-			tunerFree: make([][]*core.Tuner, len(classes)),
-		}
-		cell.rm = yarn.NewScopedResourceManager(eng, c, yarn.FairScheduler{}, r)
-		cell.fs = hdfs.NewScoped(c, rackSrc.Stream("hdfs"), r)
-		if spec.Faults != nil {
-			rack := r
-			filtered := spec.Faults.FilterNodes(func(node int) bool {
-				return c.Nodes[node].Rack == rack
-			})
-			inj, err := faults.New(c, rackSrc, filtered, cell.sink)
-			if err != nil {
-				panic(err)
-			}
-			cell.hooks = inj
-		}
-		cells[r] = cell
-	}
-
-	classRNG := src.Sub("stream").Stream("classes")
-	pickClass := func() int {
-		w := classRNG.Intn(totalWeight)
-		for i, cl := range classes {
-			w -= cl.Weight
-			if w < 0 {
-				return i
-			}
-		}
-		return len(classes) - 1
-	}
-
-	sys := c.Sys()
-	res := StreamResult{}
 	submit := func(i int, t float64) {
 		if spec.MaxJobs > 0 && res.Jobs >= spec.MaxJobs {
 			return
@@ -519,15 +395,28 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 		cl := classes[ci]
 		cell := cells[(res.Jobs-1)%len(cells)]
 		// Name, class, and tuner seed are all fixed here on the system
-		// shard; the closure only touches its cell's state after the
-		// Send delivers on the rack shard.
+		// shard; run only touches its cell's state (and, on the system
+		// shard, the warm-start store).
 		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
-		seq := i
-		sys.Send(cell.shard, StreamSubmitDelaySecs, func() {
+		run := func() {
 			var ctrl mapreduce.Controller
 			var tun *core.Tuner
+			var warmKey string
 			if spec.Tuned {
-				tun = cell.getTuner(ci, name, cl.Bench, base, spec.Seed, seq)
+				if store != nil {
+					// Aggressive warm-start path: per-job tuner seeded
+					// from the class's best-known search state.
+					warmKey = tuner.Key(cl.Bench.Name, cl.Bench.InputSizeMB)
+					opts := core.TunerOptions{Strategy: core.Aggressive,
+						Seed: spec.Seed + uint64(i), Backend: spec.Backend}
+					if ent, ok := store.Get(warmKey); ok && ent.Usable() {
+						w := ent
+						opts.Warm = &w
+					}
+					tun = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base, opts)
+				} else {
+					tun = cell.getTuner(ci, name, cl.Bench, base, spec.Seed, i)
+				}
 				ctrl = tun
 			}
 			mapreduce.Submit(cell.rm, cell.fs, mapreduce.Spec{
@@ -546,11 +435,22 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 				if now := cell.shard.Now(); now > cell.makespan {
 					cell.makespan = now
 				}
-				if tun != nil {
+				switch {
+				case tun == nil:
+				case store != nil:
+					store.Update(warmKey, tun.ExportWarm())
+					mw, rw := tun.TestWaves()
+					res.ClassWaves[cl.Bench.Name] = append(res.ClassWaves[cl.Bench.Name], mw+rw)
+				default:
 					cell.tunerFree[ci] = append(cell.tunerFree[ci], tun)
 				}
 			})
-		})
+		}
+		if cell.shard == sys {
+			run()
+		} else {
+			sys.Send(cell.shard, StreamSubmitDelaySecs, run)
+		}
 	}
 
 	_, err := workload.ScheduleArrivals(sys, src.Sub("stream"), workload.ArrivalSpec{
@@ -563,9 +463,15 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 	}
 	eng.Run()
 
-	// Fold per-cell results in rack order: the float sums and the sink
+	// Fold per-cell results in cell order: the float sums and the sink
 	// merge see the same sequence at every worker count.
-	stats := trace.NewStatsSink()
+	res.Stats = cells[0].stats
+	if len(cells) > 1 {
+		res.Stats = trace.NewStatsSink()
+		for _, cell := range cells {
+			res.Stats.Merge(cell.stats)
+		}
+	}
 	totalDur := 0.0
 	for _, cell := range cells {
 		res.Completed += cell.completed
@@ -573,9 +479,7 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 		if cell.makespan > res.Makespan {
 			res.Makespan = cell.makespan
 		}
-		stats.Merge(cell.sink)
 	}
-	res.Stats = stats
 	if res.Completed != res.Jobs {
 		panic(fmt.Sprintf("experiments: stream completed %d of %d jobs", res.Completed, res.Jobs))
 	}
@@ -583,7 +487,7 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 		res.MeanDur = totalDur / float64(res.Jobs)
 	}
 	res.Events = eng.Processed()
-	res.SinkEvents = stats.EventCount()
+	res.SinkEvents = res.Stats.EventCount()
 	return res
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // cellLegs runs the same rack-cell spec on the serial engine and under
@@ -116,29 +117,48 @@ func TestStreamWindowInvarianceFaults(t *testing.T) {
 	}
 }
 
-// TestStreamParallelRejectsCrossCellState pins the guard rails: the
-// rack-cell path refuses spec combinations that would share mutable
-// state across cells.
+// TestStreamParallelRejectsCrossCellState pins the guard rails:
+// Validate refuses rack-cell specs that would share mutable state
+// across cells or outrun the submission delay, and RunStream panics
+// with Validate's error rather than running them.
 func TestStreamParallelRejectsCrossCellState(t *testing.T) {
-	mustPanic := func(name string, mutate func(*StreamSpec)) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: parallel stream did not panic", name)
-			}
-			msg := fmt.Sprint(r)
-			if !strings.Contains(msg, "incompatible") && !strings.Contains(msg, "lookahead") {
-				t.Fatalf("%s: unexpected panic %v", name, r)
-			}
-		}()
+	for _, c := range []struct {
+		name   string
+		mutate func(*StreamSpec)
+		want   string
+	}{
+		{"warmstart", func(s *StreamSpec) { s.Tuned = true; s.WarmStart = true }, "incompatible with WarmStart"},
+		{"sink", func(s *StreamSpec) { s.Sink = trace.Discard }, "incompatible with Sink"},
+		{"lookahead", func(s *StreamSpec) { s.Lookahead = 2 * StreamSubmitDelaySecs }, "lookahead"},
+		{"negative lookahead", func(s *StreamSpec) { s.Lookahead = -1 }, "lookahead"},
+		{"zero weight", func(s *StreamSpec) {
+			s.Classes = []StreamClass{{Weight: 0, Bench: workload.Terasort(2, 0, 0)}}
+		}, "positive weight"},
+	} {
 		spec := smallStreamSpec(11)
 		spec.Parallel = 2
-		mutate(&spec)
-		RunStream(spec)
+		c.mutate(&spec)
+		err := spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
-	mustPanic("legacy", func(s *StreamSpec) { s.Legacy = true })
-	mustPanic("warmstart", func(s *StreamSpec) { s.Tuned = true; s.WarmStart = true })
-	mustPanic("sink", func(s *StreamSpec) { s.Sink = trace.Discard })
-	mustPanic("lookahead", func(s *StreamSpec) { s.Lookahead = 2 * StreamSubmitDelaySecs })
+
+	// The classic single-cell path keeps cross-job state on the system
+	// shard, so the same spec is valid there.
+	classic := smallStreamSpec(11)
+	classic.Tuned, classic.WarmStart, classic.Sink, classic.Lookahead = true, true, trace.Discard, 5
+	if err := classic.Validate(); err != nil {
+		t.Errorf("classic spec with WarmStart, Sink and lookahead 5: Validate() = %v", err)
+	}
+
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "lookahead") {
+			t.Fatalf("RunStream with an invalid lookahead: recovered %v, want a lookahead panic", r)
+		}
+	}()
+	spec := smallStreamSpec(11)
+	spec.Parallel = 2
+	spec.Lookahead = 2 * StreamSubmitDelaySecs
+	RunStream(spec)
 }

@@ -13,7 +13,6 @@
 //	nondet-flow           map-iteration order never reaches a sink through calls
 //	conf-key-literal      Hadoop parameter names come from mrconf constants
 //	config-get-in-loop    hot scheduling loops read compiled config snapshots
-//	mutex-copy            sync.Mutex / sync.WaitGroup never passed by value
 //	no-goroutine-in-sim   simulated packages stay single-threaded
 //	event-closure-capture scheduled closures snapshot state at schedule time
 //	malformed-directive   every suppression names a rule and a reason
@@ -106,7 +105,6 @@ func All() []*Analyzer {
 		ConfKeyAnalyzer,
 		ConfigGetLoopAnalyzer,
 		RetainedAppendAnalyzer,
-		MutexCopyAnalyzer,
 		GoroutineInSimAnalyzer,
 		CrossShardEventAnalyzer,
 		EventClosureCaptureAnalyzer,

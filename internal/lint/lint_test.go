@@ -690,63 +690,6 @@ func (l *Log) Add(m string) {
 `,
 			want: 0,
 		},
-
-		// ---- mutex-copy ----
-		{
-			name: "mutexcopy positive parameter",
-			rule: "mutex-copy",
-			file: "internal/x/x.go",
-			src: `package x
-import "sync"
-func F(mu sync.Mutex) { mu.Lock() }
-`,
-			want: 1,
-		},
-		{
-			name: "mutexcopy positive waitgroup and receiver",
-			rule: "mutex-copy",
-			file: "internal/x/x.go",
-			src: `package x
-import "sync"
-type S struct{ mu sync.Mutex }
-func (s S) Wait(wg sync.WaitGroup) { wg.Wait() }
-`,
-			want: 1, // the wg parameter; value receiver S embeds, not is, a Mutex
-		},
-		{
-			name: "mutexcopy positive func literal",
-			rule: "mutex-copy",
-			file: "internal/x/x.go",
-			src: `package x
-import "sync"
-var F = func(wg sync.WaitGroup) { wg.Wait() }
-`,
-			want: 1,
-		},
-		{
-			name: "mutexcopy negative pointers",
-			rule: "mutex-copy",
-			file: "internal/x/x.go",
-			src: `package x
-import "sync"
-func F(mu *sync.Mutex, wg *sync.WaitGroup) {
-	mu.Lock()
-	defer mu.Unlock()
-	wg.Wait()
-}
-`,
-			want: 0,
-		},
-		{
-			name: "mutexcopy ignore directive",
-			rule: "mutex-copy",
-			file: "internal/x/x.go",
-			src: `package x
-import "sync"
-func F(mu sync.Mutex) { mu.Lock() } //mrlint:ignore mutex-copy demo of a broken pattern
-`,
-			want: 0,
-		},
 	}
 
 	for _, tc := range cases {
@@ -769,7 +712,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("no-wallclock, mutex-copy")
+	two, err := Select("no-wallclock, no-global-rand")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("Select two = %d, err %v", len(two), err)
 	}
@@ -835,10 +778,10 @@ func TestX(t *testing.T) {
 }
 
 func TestModuleRootRelativePaths(t *testing.T) {
-	findings := lintFiles(t, "mutex-copy", map[string]string{
+	findings := lintFiles(t, "no-global-rand", map[string]string{
 		"internal/x/x.go": `package x
-import "sync"
-func F(mu sync.Mutex) { mu.Lock() }
+import "math/rand"
+func F() int { return rand.Intn(2) }
 `,
 	})
 	if len(findings) != 1 {

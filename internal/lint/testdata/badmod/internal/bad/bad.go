@@ -7,7 +7,6 @@ package bad
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"badmod/internal/mrconf"
@@ -45,13 +44,6 @@ func ScheduleFromMap(e *sim.Engine, m map[string]float64) {
 // TypoKey violates conf-key-literal ("sortt").
 func TypoKey(c mrconf.Config) float64 {
 	return c.Get("mapreduce.task.io.sortt.mb") // want conf-key-literal
-}
-
-// LockByValue violates mutex-copy.
-func LockByValue(mu sync.Mutex, wg sync.WaitGroup) { // want mutex-copy
-	mu.Lock()
-	defer mu.Unlock()
-	wg.Wait()
 }
 
 // FloatAccum violates float-map-accum: FP addition is not associative,

@@ -1,9 +1,13 @@
 package mapreduce
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/mrconf"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestPooledAttemptReuseZeroAlloc pins the steady-state cost of the
@@ -38,4 +42,58 @@ func TestSnapshotCacheHitZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("snapshot cache hit allocates %v per run; want 0", avg)
 	}
+}
+
+// TestPooledSubmitTraceIdentical asserts that the serving-path
+// optimizations change cost, not behavior: nine staggered, overlapping
+// jobs run once with an attempt pool, a precompiled base config and
+// input release, and once with all three off, and every trace event
+// and job duration must match.
+func TestPooledSubmitTraceIdentical(t *testing.T) {
+	run := func(pooled bool) ([]trace.Event, []float64) {
+		r := newRig()
+		base := mrconf.Default()
+		var pool *Pool
+		var pre *PrecompiledConfig
+		if pooled {
+			pool = NewPool()
+			pre = Precompile(base)
+		}
+		benches := []workload.Benchmark{
+			workload.Terasort(1, 0, 0), workload.Terasort(2, 0, 0), workload.BBP(25000, 8),
+		}
+		var rec trace.Recorder
+		durs := make([]float64, 9)
+		for i := range durs {
+			spec := Spec{
+				Name:                 fmt.Sprintf("job-%d", i),
+				Benchmark:            benches[i%len(benches)],
+				BaseConfig:           base,
+				Trace:                &rec,
+				Pool:                 pool,
+				Precompiled:          pre,
+				ReleaseInputOnFinish: pooled,
+			}
+			r.eng.At(float64(i)*10, func() {
+				Submit(r.rm, r.fs, spec, func(res Result) { durs[i] = res.Duration })
+			})
+		}
+		r.eng.Run()
+		for i, d := range durs {
+			if d <= 0 {
+				t.Fatalf("pooled=%v: job %d never completed", pooled, i)
+			}
+		}
+		return rec.Events(), durs
+	}
+
+	pooledEvents, pooledDurs := run(true)
+	plainEvents, plainDurs := run(false)
+	if !reflect.DeepEqual(pooledEvents, plainEvents) {
+		t.Fatalf("pooled trace differs: %d vs %d events", len(pooledEvents), len(plainEvents))
+	}
+	if !reflect.DeepEqual(pooledDurs, plainDurs) {
+		t.Fatalf("pooled durations %v; unpooled %v", pooledDurs, plainDurs)
+	}
+	t.Logf("%d identical events", len(pooledEvents))
 }
