@@ -107,6 +107,15 @@ func main() {
 			os.Exit(2)
 		}
 		env.FaultSpec = fspec
+		// Every artifact but the stream runs its jobs on the testbed, so
+		// the spec's nodes must exist there (the stream checks them
+		// against its own cluster in StreamSpec.Validate).
+		if *htmlPath != "" || *run != "stream" {
+			if err := env.ValidateFaults(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+		}
 	}
 	if *htmlPath != "" {
 		f, err := os.Create(*htmlPath)

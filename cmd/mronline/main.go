@@ -140,6 +140,10 @@ func main() {
 			" cluster-wide resource manager, which is not shard-isolated")
 		os.Exit(2)
 	}
+	if err := env.ValidateFaults(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *compare {
 		compareStrategies(env, b, *kbPath)

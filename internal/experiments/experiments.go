@@ -157,6 +157,20 @@ func (e Env) ArmFaults(r *Rig, spec *mapreduce.Spec) {
 	spec.Faults = inj
 }
 
+// ValidateFaults checks FaultSpec's target nodes against the testbed
+// NewRig builds, so a spec that cannot apply to a single-job run is
+// rejected before any run starts instead of panicking inside ArmFaults.
+func (e Env) ValidateFaults() error {
+	if e.FaultSpec == nil {
+		return nil
+	}
+	n := 0
+	for _, r := range cluster.PaperConfig().RackSizes {
+		n += r
+	}
+	return e.FaultSpec.CheckNodes(n)
+}
+
 // AggressiveTestRun runs one expedited test run with the aggressive
 // tuner and returns the tuner (for BestConfig) and the run result.
 // With a WarmStore it first consults the job's class entry for a warm

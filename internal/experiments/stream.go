@@ -219,6 +219,11 @@ func (s StreamSpec) Validate() error {
 			return fmt.Errorf("experiments: stream class %s needs positive weight", cl.Bench.Name)
 		}
 	}
+	if s.Faults != nil {
+		if err := s.Faults.CheckNodes(s.Racks * s.NodesPerRack); err != nil {
+			return err
+		}
+	}
 	if s.Parallel <= 0 && !s.cellSerial {
 		return nil
 	}

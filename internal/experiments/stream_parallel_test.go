@@ -134,6 +134,9 @@ func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 		{"zero weight", func(s *StreamSpec) {
 			s.Classes = []StreamClass{{Weight: 0, Bench: workload.Terasort(2, 0, 0)}}
 		}, "positive weight"},
+		{"fault node out of range", func(s *StreamSpec) {
+			s.Faults = &faults.Spec{NodeCrashes: []faults.NodeCrash{{At: 40, Node: s.Racks * s.NodesPerRack, RestartAfter: 120}}}
+		}, "out of range"},
 	} {
 		spec := smallStreamSpec(11)
 		spec.Parallel = 2
@@ -150,6 +153,16 @@ func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 	classic.Tuned, classic.WarmStart, classic.Sink, classic.Lookahead = true, true, trace.Discard, 5
 	if err := classic.Validate(); err != nil {
 		t.Errorf("classic spec with WarmStart, Sink and lookahead 5: Validate() = %v", err)
+	}
+	// Fault nodes are checked on the classic path too: it would panic
+	// arming the injector otherwise.
+	classic.Faults = &faults.Spec{NodeCrashes: []faults.NodeCrash{{At: 40, Node: 20000}}}
+	if err := classic.Validate(); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("classic spec with fault node 20000: Validate() = %v, want an out-of-range error", err)
+	}
+	env := Env{FaultSpec: classic.Faults}
+	if err := env.ValidateFaults(); err == nil || !strings.Contains(err.Error(), "cluster has 18") {
+		t.Errorf("Env.ValidateFaults with fault node 20000 = %v, want an out-of-range error against the 18-node testbed", err)
 	}
 
 	defer func() {

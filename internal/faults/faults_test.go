@@ -86,6 +86,30 @@ func TestNewRejectsBadNodeIndex(t *testing.T) {
 	}
 }
 
+// TestCheckNodesNamesTheFirstBadFault pins the shared node-range check:
+// every node-addressed fault kind is covered, the boundary is exclusive,
+// and the error names the offending entry.
+func TestCheckNodesNamesTheFirstBadFault(t *testing.T) {
+	for _, c := range []struct {
+		spec faults.Spec
+		want string
+	}{
+		{faults.Spec{NodeCrashes: []faults.NodeCrash{{Node: 3}, {Node: 10}}}, "node_crashes[1]: node 10 out of range (cluster has 10)"},
+		{faults.Spec{NodeSlow: []faults.NodeSlow{{Node: 20000, Factor: 0.5}}}, "node_slow[0]: node 20000"},
+		{faults.Spec{DiskDegrades: []faults.DiskDegrade{{Node: 11, Factor: 0.5}}}, "disk_degrades[0]: node 11"},
+		{faults.Spec{LinkFlaps: []faults.LinkFlap{{Node: 10}}}, "link_flaps[0]: node 10"},
+	} {
+		err := c.spec.CheckNodes(10)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("CheckNodes(10) on %+v = %v, want an error containing %q", c.spec, err, c.want)
+		}
+	}
+	ok := faults.Spec{NodeCrashes: []faults.NodeCrash{{Node: 9}}, FetchFailRate: 0.1}
+	if err := ok.CheckNodes(10); err != nil {
+		t.Errorf("CheckNodes(10) rejected node 9: %v", err)
+	}
+}
+
 // --- determinism ---------------------------------------------------
 
 // runCrashTerasort runs one faulted Terasort and returns the recorded

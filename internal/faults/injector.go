@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/cluster"
@@ -38,33 +37,9 @@ const DefaultMeanFailDelaySecs = 5.0
 // as trace.Discard) receives node_down/node_up events under the
 // pseudo-job "cluster".
 func New(c *cluster.Cluster, src *sim.Source, spec Spec, rec trace.Sink) (*Injector, error) {
-	checkNode := func(what string, i, node int) error {
-		if node >= len(c.Nodes) {
-			return fmt.Errorf("faults: %s[%d]: node %d out of range (cluster has %d)", what, i, node, len(c.Nodes))
-		}
-		return nil
+	if err := spec.CheckNodes(len(c.Nodes)); err != nil {
+		return nil, err
 	}
-	for i, cr := range spec.NodeCrashes {
-		if err := checkNode("node_crashes", i, cr.Node); err != nil {
-			return nil, err
-		}
-	}
-	for i, sl := range spec.NodeSlow {
-		if err := checkNode("node_slow", i, sl.Node); err != nil {
-			return nil, err
-		}
-	}
-	for i, d := range spec.DiskDegrades {
-		if err := checkNode("disk_degrades", i, d.Node); err != nil {
-			return nil, err
-		}
-	}
-	for i, l := range spec.LinkFlaps {
-		if err := checkNode("link_flaps", i, l.Node); err != nil {
-			return nil, err
-		}
-	}
-
 	if rec == nil {
 		rec = trace.Discard
 	}

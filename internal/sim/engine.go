@@ -28,7 +28,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -73,75 +72,6 @@ func (e *Event) Canceled() bool { return e.canceled }
 
 // Shard returns the shard that owns this event.
 func (e *Event) Shard() *Shard { return e.shard }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// shardHeap orders the non-empty shards by their cached earliest
-// (time, seq) key; the root is the shard owning the global-minimum
-// event. Idle (empty) shards are not in the heap at all.
-type shardHeap []*Shard
-
-func (h shardHeap) Len() int { return len(h) }
-
-func (h shardHeap) Less(i, j int) bool {
-	if h[i].minAt != h[j].minAt {
-		return h[i].minAt < h[j].minAt
-	}
-	return h[i].minSeq < h[j].minSeq
-}
-
-func (h shardHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-
-func (h *shardHeap) Push(x any) {
-	s := x.(*Shard)
-	s.pos = len(*h)
-	*h = append(*h, s)
-}
-
-func (h *shardHeap) Pop() any {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	s.pos = -1
-	*h = old[:n-1]
-	return s
-}
 
 // Engine is a sharded, deterministic discrete-event simulator. In the
 // default serial mode it is not safe for concurrent use; all model
@@ -302,14 +232,14 @@ func (e *Engine) RunUntil(t float64) {
 		e.boundAt, e.boundSeq = e.secondBest()
 		e.drain = s
 		for len(s.pq) > 0 {
-			ev := s.pq[0]
-			if ev.at > t {
+			h := &s.pq[0]
+			if h.at > t {
 				break
 			}
-			if ev.at > e.boundAt || (ev.at == e.boundAt && ev.seq > e.boundSeq) {
+			if h.at > e.boundAt || (h.at == e.boundAt && h.seq > e.boundSeq) {
 				break
 			}
-			heap.Pop(&s.pq)
+			ev := s.pq.pop()
 			e.now = ev.at
 			e.processed++
 			if e.MaxEvents > 0 && e.processed > e.MaxEvents {
@@ -361,17 +291,17 @@ func (e *Engine) syncShard(s *Shard) {
 	}
 	if len(s.pq) == 0 {
 		if s.pos >= 0 {
-			heap.Remove(&e.order, s.pos)
+			e.order.remove(s.pos)
 		}
 		return
 	}
-	h := s.pq[0]
+	h := &s.pq[0]
 	if s.pos < 0 {
 		s.minAt, s.minSeq = h.at, h.seq
-		heap.Push(&e.order, s) // lazy wakeup: idle shard joins the index
+		e.order.push(s) // lazy wakeup: idle shard joins the index
 	} else if h.at != s.minAt || h.seq != s.minSeq {
 		s.minAt, s.minSeq = h.at, h.seq
-		heap.Fix(&e.order, s.pos)
+		e.order.fix(s.pos)
 	} else {
 		return
 	}

@@ -47,7 +47,6 @@ package sim
 // the invariant it must honor is unchanged.
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -237,7 +236,7 @@ func (e *Engine) runParallel(t float64) {
 			dst := ps.dst
 			ev := dst.take(ps.at, e.seq, ps.fn)
 			e.seq++
-			heap.Push(&dst.pq, ev)
+			dst.pq.push(ev)
 			ps.dst, ps.fn = nil, nil
 			src.obCur++
 			if src.obCur == len(src.outbox) {
@@ -267,14 +266,14 @@ func (e *Engine) drainSolo(s *Shard, t, boundAt float64, boundSeq uint64) {
 	e.boundAt, e.boundSeq = boundAt, boundSeq
 	e.drain = s
 	for len(s.pq) > 0 {
-		ev := s.pq[0]
-		if ev.at > t {
+		h := &s.pq[0]
+		if h.at > t {
 			break
 		}
-		if ev.at > e.boundAt || (ev.at == e.boundAt && ev.seq > e.boundSeq) {
+		if h.at > e.boundAt || (h.at == e.boundAt && h.seq > e.boundSeq) {
 			break
 		}
-		heap.Pop(&s.pq)
+		ev := s.pq.pop()
 		e.now = ev.at
 		e.processed++
 		if e.MaxEvents > 0 && e.processed > e.MaxEvents {
@@ -394,11 +393,10 @@ func (s *Shard) drainWindow(t float64) {
 		}
 	}()
 	for len(s.pq) > 0 {
-		ev := s.pq[0]
-		if ev.at >= s.windowEnd || ev.at > t {
+		if h := &s.pq[0]; h.at >= s.windowEnd || h.at > t {
 			break
 		}
-		heap.Pop(&s.pq)
+		ev := s.pq.pop()
 		s.now = ev.at
 		s.fired++
 		fn := ev.fn

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -24,7 +23,7 @@ type Shard struct {
 	id   ShardID
 	name string
 
-	pq   eventHeap
+	pq   eventQueue
 	free []*Event
 
 	// pos is this shard's position in the engine's index heap, -1 when
@@ -123,7 +122,7 @@ func (s *Shard) at(t float64, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
 	}
 	ev := s.take(t, s.nextSeq(), fn)
-	heap.Push(&s.pq, ev)
+	s.pq.push(ev)
 	if !s.inWindow {
 		e.syncShard(s)
 	}
@@ -155,7 +154,7 @@ func (s *Shard) Reschedule(ev *Event, t float64) *Event {
 	}
 	ev.at = t
 	ev.seq = s.nextSeq()
-	heap.Fix(&s.pq, ev.index)
+	s.pq.fix(ev.index)
 	if !s.inWindow {
 		s.eng.syncShard(s)
 	}
@@ -175,7 +174,7 @@ func (s *Shard) Cancel(ev *Event) {
 	}
 	ev.canceled = true
 	if ev.index >= 0 {
-		heap.Remove(&s.pq, ev.index)
+		s.pq.remove(ev.index)
 		if !s.inWindow {
 			s.eng.syncShard(s)
 		}

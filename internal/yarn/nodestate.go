@@ -52,11 +52,10 @@ func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 // assignment for the freed demand.
 func (rm *ResourceManager) declareNodeLost(n *cluster.Node) {
 	rm.declaredLost[n.ID-rm.baseID] = true
-	// Collect first: Release rewrites liveByApp. Iterating the apps
-	// slice (never the map) keeps the reclaim order deterministic.
+	// Collect first: Release rewrites each app's live list.
 	var lost []*Container
 	for _, app := range rm.apps {
-		for _, c := range rm.liveByApp[app] {
+		for _, c := range app.live {
 			if c.Node == n && !c.released {
 				lost = append(lost, c)
 			}

@@ -105,7 +105,7 @@ func pendingMemMB(app *App) float64 {
 // newestContainer returns the victim's most recently allocated live
 // container (least work lost when killed).
 func (rm *ResourceManager) newestContainer(app *App) *Container {
-	live := rm.liveByApp[app]
+	live := app.live
 	for i := len(live) - 1; i >= 0; i-- {
 		if !live[i].released {
 			return live[i]

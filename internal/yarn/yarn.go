@@ -10,6 +10,7 @@ package yarn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -126,6 +127,9 @@ type App struct {
 	usedVC        int
 	running       int
 	finished      bool
+
+	// live holds the app's unreleased containers in allocation order.
+	live []*Container
 }
 
 // UsedMemMB returns the memory currently allocated to the app.
@@ -177,7 +181,6 @@ type ResourceManager struct {
 	// shapeOrder records first-allocation order of distinct shapes so
 	// EachShape iterates deterministically.
 	shapeOrder []Resource
-	liveByApp  map[*App][]*Container
 	// Free-capacity index: per-node used/capacity arrays keyed by the
 	// dense Node.ID, mirroring each node's MemPool arithmetic exactly so
 	// that fits() is two array loads instead of a method call plus a map
@@ -204,6 +207,13 @@ type ResourceManager struct {
 	prefNode      []int
 	prefRack      []int
 	unconstrained int
+	// Candidate-sweep scratch (see candidates): the collected node
+	// indices, and epoch stamps that dedupe nodes and racks per call
+	// without clearing.
+	candScratch []int
+	nodeMark    []uint32
+	rackMark    []uint32
+	markEpoch   uint32
 	// retryAt is the expiry of the latest scheduled relax-retry wakeup
 	// (-1 when none); duplicate wakeups at the same instant coalesce.
 	retryAt        float64
@@ -274,7 +284,6 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 		eng: eng, shard: shard, c: c, sched: sched,
 		nodes: nodes, faults: faults,
 		shapeCounts:     make(map[Resource]int),
-		liveByApp:       make(map[*App][]*Container),
 		SchedulingDelay: 0.5,
 		RackDelay:       2,
 		OffRackDelay:    5,
@@ -365,10 +374,6 @@ func (a *App) Finish() {
 	}
 	a.pending = nil
 	a.pendingShapes = nil
-	// All containers were released before Finish (precondition above),
-	// so the live list is empty — drop the map entry so a long stream of
-	// finished apps does not grow liveByApp forever.
-	delete(a.rm.liveByApp, a)
 	apps := a.rm.apps[:0]
 	for _, app := range a.rm.apps {
 		if app != a {
@@ -431,10 +436,10 @@ func (rm *ResourceManager) Release(c *Container) {
 		rm.nodeUsedMem[id] = 0 // mirrors MemPool.Release's clamp
 	}
 	rm.nodeUsedVC[id] -= c.Resource.VCores
-	live := rm.liveByApp[c.App]
+	live := c.App.live
 	for i, lc := range live {
 		if lc == c {
-			rm.liveByApp[c.App] = append(live[:i], live[i+1:]...)
+			c.App.live = append(live[:i], live[i+1:]...)
 			break
 		}
 	}
@@ -529,6 +534,53 @@ func (rm *ResourceManager) anyPendingFits(node *cluster.Node) bool {
 	return false
 }
 
+// candidates returns, in ascending order, the managed-node indices a
+// pass can place on while no pending request is unconstrained or
+// off-rack eligible: every node a pending request prefers, plus every
+// node of a preferred rack once rackEligible. The pending set only
+// shrinks during assign (place defers OnAllocate through the engine),
+// so the set is a superset of the nodes visit accepts for the rest of
+// the pass. The slice is the RM's scratch, valid until the next call.
+func (rm *ResourceManager) candidates(rackEligible bool) []int {
+	if rm.nodeMark == nil {
+		rm.nodeMark = make([]uint32, len(rm.nodes))
+		rm.rackMark = make([]uint32, len(rm.c.Racks))
+	}
+	rm.markEpoch++
+	if rm.markEpoch == 0 { // wrapped: stale stamps could collide
+		clear(rm.nodeMark)
+		clear(rm.rackMark)
+		rm.markEpoch = 1
+	}
+	ep := rm.markEpoch
+	cand := rm.candScratch[:0]
+	add := func(nid int) {
+		if rm.nodeMark[nid] != ep {
+			rm.nodeMark[nid] = ep
+			cand = append(cand, nid)
+		}
+	}
+	for _, app := range rm.apps {
+		for _, req := range app.pending {
+			for _, pref := range req.PreferredNodes {
+				if !rackEligible {
+					add(pref.ID - rm.baseID)
+					continue
+				}
+				if rm.rackMark[pref.Rack] != ep {
+					rm.rackMark[pref.Rack] = ep
+					for _, node := range rm.c.Racks[pref.Rack] {
+						add(node.ID - rm.baseID)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(cand)
+	rm.candScratch = cand
+	return cand
+}
+
 // assign walks nodes round-robin, letting the scheduler pick an app
 // for each node with free capacity, until no more placements succeed.
 func (rm *ResourceManager) assign() {
@@ -558,51 +610,68 @@ func (rm *ResourceManager) assign() {
 	oldest := rm.oldestConstrainedEnqueue()
 	rackEligible := oldest >= 0 && now-oldest >= rm.RackDelay
 	offRackEligible := oldest >= 0 && now-oldest >= rm.OffRackDelay
+	// visit is one node's placement attempt, shared by both sweep
+	// shapes; it reports whether a container was placed.
+	visit := func(nid int, useFilter bool, minAge float64) bool {
+		if rm.nodeDown[nid] || (rm.blacklisted[nid] && !ignoreBlacklist) {
+			return false
+		}
+		node := rm.nodes[nid]
+		if rm.unconstrained == 0 && !offRackEligible &&
+			rm.prefNode[nid] == 0 &&
+			(!rackEligible || rm.prefRack[node.Rack] == 0) {
+			// No request may place here: selectRequest would return nil
+			// for every app the scheduler could pick, and neither Pick
+			// nor selectRequest has side effects.
+			return false
+		}
+		if useFilter && rm.NodeFilter != nil && !rm.NodeFilter(node) {
+			return false
+		}
+		if !rm.anyPendingFits(node) {
+			return false // no scheduler could place here
+		}
+		idx := rm.sched.Pick(rm.apps, node)
+		if idx < 0 {
+			return false
+		}
+		app := rm.apps[idx]
+		req := rm.selectRequest(app, node, minAge)
+		if req == nil {
+			return false
+		}
+		rm.place(app, req, node)
+		return true
+	}
 	pass := func(useFilter bool, minAge float64) {
 		progress := true
 		for progress {
 			progress = false
-			for i := 0; i < n; i++ {
-				if rm.totalPending == 0 {
-					// The last placement drained the pending set; the rest
-					// of the sweep cannot place anything. Bailing here is
-					// behavior-identical (anyPendingFits would reject every
-					// remaining node, and the cursor rotates after the loop
-					// either way) but turns the common one-request case on
-					// a 10k-node cluster from O(nodes) into O(1).
-					break
+			// Both sweeps stop as soon as a placement drains the pending
+			// set: the rest could place nothing (anyPendingFits would
+			// reject every remaining node), and the cursor rotates after
+			// the sweep either way.
+			if rm.unconstrained == 0 && !offRackEligible {
+				// Only candidate nodes can pass visit's preference
+				// filter, and the candidate set cannot grow during the
+				// pass, so visiting just them — in the full sweep's
+				// cyclic order from the cursor — places exactly what
+				// the full sweep would.
+				cand := rm.candidates(rackEligible)
+				start, _ := slices.BinarySearch(cand, rm.assignCur)
+				for k := 0; k < len(cand) && rm.totalPending > 0; k++ {
+					if visit(cand[(start+k)%len(cand)], useFilter, minAge) {
+						progress = true
+						placedAny = true
+					}
 				}
-				node := rm.nodes[(rm.assignCur+i)%n]
-				nid := node.ID - rm.baseID
-				if rm.nodeDown[nid] || (rm.blacklisted[nid] && !ignoreBlacklist) {
-					continue
+			} else {
+				for i := 0; i < n && rm.totalPending > 0; i++ {
+					if visit((rm.assignCur+i)%n, useFilter, minAge) {
+						progress = true
+						placedAny = true
+					}
 				}
-				if rm.unconstrained == 0 && !offRackEligible &&
-					rm.prefNode[nid] == 0 &&
-					(!rackEligible || rm.prefRack[node.Rack] == 0) {
-					// No request may place here: selectRequest would
-					// return nil for every app the scheduler could pick,
-					// and neither Pick nor selectRequest has side effects.
-					continue
-				}
-				if useFilter && rm.NodeFilter != nil && !rm.NodeFilter(node) {
-					continue
-				}
-				if !rm.anyPendingFits(node) {
-					continue // no scheduler could place here
-				}
-				idx := rm.sched.Pick(rm.apps, node)
-				if idx < 0 {
-					continue
-				}
-				app := rm.apps[idx]
-				req := rm.selectRequest(app, node, minAge)
-				if req == nil {
-					continue
-				}
-				rm.place(app, req, node)
-				progress = true
-				placedAny = true
 			}
 			rm.assignCur = (rm.assignCur + 1) % n
 		}
@@ -725,7 +794,7 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 	cont := &Container{ID: rm.nextContID, Node: node, Resource: req.Resource, App: app,
 		OnPreempt: req.OnPreempt, OnNodeLost: req.OnNodeLost}
 	rm.nextContID++
-	rm.liveByApp[app] = append(rm.liveByApp[app], cont)
+	app.live = append(app.live, cont)
 	app.usedMemMB += req.Resource.MemMB
 	app.usedVC += req.Resource.VCores
 	app.running++

@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -69,9 +70,65 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	eng.Run()
 }
 
-// TestPlacementHotPathAllocationFree pins the allocation behavior the
-// PR's free-capacity index bought: the per-node, per-pass placement
-// queries and the coalesced relax-retry re-check must not allocate.
+// BenchmarkAssign10k measures one assignment pass on the flagship
+// 10,016-node cluster (313 racks of 32) with 300 pending requests, each
+// preferring three nodes and all inside the delay-scheduling window —
+// the shape of nearly every pass of the serving day. The preferred
+// nodes are full, so a pass places nothing and every iteration sees
+// the same state.
+func BenchmarkAssign10k(b *testing.B) {
+	eng := sim.NewEngine()
+	racks := make([]int, 313)
+	for i := range racks {
+		racks[i] = 32
+	}
+	c := cluster.New(eng, cluster.Config{
+		RackSizes:      racks,
+		CoresPerNode:   8,
+		VCoresPerNode:  28,
+		ContainerMemMB: 6 * 1024,
+		DiskMBps:       90,
+		NICMBps:        117,
+		UplinkMBps:     2000,
+	})
+	rm := NewResourceManager(eng, c, FIFOScheduler{})
+	app := rm.Submit("bench", 1)
+	rng := rand.New(rand.NewSource(1))
+	prefs := make([][]*cluster.Node, 300)
+	full := map[*cluster.Node]bool{}
+	for i := range prefs {
+		for k := 0; k < 3; k++ {
+			n := c.Nodes[rng.Intn(len(c.Nodes))]
+			prefs[i] = append(prefs[i], n)
+			if !full[n] {
+				full[n] = true
+				app.Request(&Request{
+					Resource:       Resource{MemMB: 6 * 1024, VCores: 1},
+					PreferredNodes: []*cluster.Node{n},
+					OnAllocate:     func(*Container) {},
+				})
+			}
+		}
+	}
+	eng.Run() // fill every preferred node
+	for _, p := range prefs {
+		app.Request(&Request{Resource: Resource{MemMB: 1024, VCores: 1}, PreferredNodes: p})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rm.assign()
+	}
+	b.StopTimer()
+	if app.Pending() != len(prefs) {
+		b.Fatalf("pending = %d, want %d: a pass placed on a full node", app.Pending(), len(prefs))
+	}
+}
+
+// TestPlacementHotPathAllocationFree pins the allocation behavior of
+// the free-capacity index and the candidate sweep: the per-node,
+// per-pass placement queries, the coalesced relax-retry re-check and a
+// candidate-sweep pass must not allocate.
 func TestPlacementHotPathAllocationFree(t *testing.T) {
 	eng, c, rm := newRMQuiet(FIFOScheduler{})
 	app := rm.Submit("alloc", 1)
@@ -109,5 +166,17 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	}
 	if rm.RetryWakeupsScheduled() != 1 {
 		t.Fatalf("coalesced calls scheduled more wakeups: %d", rm.RetryWakeupsScheduled())
+	}
+	// A whole assignment pass through the candidate sweep: every pending
+	// request prefers a node and is inside its delay window, so the pass
+	// collects, sorts and visits candidates (and places nothing, since
+	// the request cannot fit). The first run sizes the scratch; the rest
+	// must be free.
+	epoch := rm.markEpoch
+	if a := testing.AllocsPerRun(100, func() { rm.assign() }); a != 0 {
+		t.Errorf("candidate-sweep assign allocates %v per run, want 0", a)
+	}
+	if rm.markEpoch == epoch {
+		t.Fatal("assign never took the candidate sweep")
 	}
 }
