@@ -131,10 +131,6 @@ type StreamSpec struct {
 	// by tests). Parallel is incompatible with WarmStart and Sink —
 	// both would retain cross-cell state on the system shard.
 	Parallel int
-	// Lookahead is the parallel-window width in simulated seconds
-	// (0 = DefaultStreamLookahead). It must not exceed
-	// StreamSubmitDelaySecs, the minimum cross-shard Send delay.
-	Lookahead float64
 
 	// cellSerial runs the rack-cell architecture on the serial engine:
 	// the reference leg the window-invariance tests compare parallel
@@ -144,22 +140,14 @@ type StreamSpec struct {
 	cellSerial bool
 }
 
-// Rack-cell serving timing contract: every cross-shard interaction is
-// a Send with delay ≥ the window lookahead.
-const (
-	// DefaultStreamLookahead is the parallel-window width used when
-	// StreamSpec.Lookahead is zero. Wider windows amortize the
-	// per-window barrier over more events; the ceiling is the
-	// submission delay below. 1s already yields near-full window
-	// occupancy at 313 racks — widening it further was measured to
-	// make no difference.
-	DefaultStreamLookahead = 1.0
-	// StreamSubmitDelaySecs is the latency from a job's arrival (drawn
-	// on the system shard) to its delivery at the target rack cell —
-	// the stream's only cross-shard edge, and therefore the upper
-	// bound on the usable lookahead.
-	StreamSubmitDelaySecs = 1.0
-)
+// StreamSubmitDelaySecs is the latency from a job's arrival (drawn on
+// the system shard) to its delivery at the target rack cell — the
+// stream's only cross-shard edge, so every cross-shard interaction is
+// a Send with at least this delay. It is therefore also the rack-cell
+// path's parallel-window width: the widest window the edge allows.
+// Wider windows amortize the per-window barrier over more events; 1s
+// already yields near-full window occupancy at 313 racks.
+const StreamSubmitDelaySecs = 1.0
 
 // DefaultStreamSpec is the flagship workload: a simulated day of
 // ~21k jobs (875/hour mean, ±50% diurnal swing) on a 10,016-node
@@ -211,8 +199,7 @@ func (r *StreamResult) Report() string {
 
 // Validate reports the first reason the spec cannot run: a job class
 // without positive weight, or a rack-cell run (Parallel > 0) combined
-// with cross-cell state (WarmStart, Sink) or a lookahead outside
-// (0, StreamSubmitDelaySecs].
+// with cross-cell state (WarmStart, Sink).
 func (s StreamSpec) Validate() error {
 	for _, cl := range s.Classes {
 		if cl.Weight <= 0 {
@@ -233,17 +220,7 @@ func (s StreamSpec) Validate() error {
 	case s.Sink != nil:
 		return errors.New("experiments: stream Parallel is incompatible with Sink (an external sink is cross-cell state)")
 	}
-	if la := s.lookahead(); la < 0 || la > StreamSubmitDelaySecs {
-		return fmt.Errorf("experiments: stream lookahead %v outside (0, %v]", la, StreamSubmitDelaySecs)
-	}
 	return nil
-}
-
-func (s StreamSpec) lookahead() float64 {
-	if s.Lookahead == 0 {
-		return DefaultStreamLookahead
-	}
-	return s.Lookahead
 }
 
 // streamCell is one self-contained serving stack: everything a job
@@ -328,7 +305,7 @@ func RunStream(spec StreamSpec) StreamResult {
 		RackLocalNet: rackCells,
 	})
 	if spec.Parallel > 0 {
-		eng.EnableParallelWindows(spec.Parallel, spec.lookahead())
+		eng.EnableParallelWindows(spec.Parallel, StreamSubmitDelaySecs)
 	}
 	src := sim.NewSource(spec.Seed)
 	sys := c.Sys()

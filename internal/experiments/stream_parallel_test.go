@@ -119,8 +119,8 @@ func TestStreamWindowInvarianceFaults(t *testing.T) {
 
 // TestStreamParallelRejectsCrossCellState pins the guard rails:
 // Validate refuses rack-cell specs that would share mutable state
-// across cells or outrun the submission delay, and RunStream panics
-// with Validate's error rather than running them.
+// across cells, and RunStream panics with Validate's error rather than
+// running them.
 func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -129,8 +129,6 @@ func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 	}{
 		{"warmstart", func(s *StreamSpec) { s.Tuned = true; s.WarmStart = true }, "incompatible with WarmStart"},
 		{"sink", func(s *StreamSpec) { s.Sink = trace.Discard }, "incompatible with Sink"},
-		{"lookahead", func(s *StreamSpec) { s.Lookahead = 2 * StreamSubmitDelaySecs }, "lookahead"},
-		{"negative lookahead", func(s *StreamSpec) { s.Lookahead = -1 }, "lookahead"},
 		{"zero weight", func(s *StreamSpec) {
 			s.Classes = []StreamClass{{Weight: 0, Bench: workload.Terasort(2, 0, 0)}}
 		}, "positive weight"},
@@ -150,9 +148,9 @@ func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 	// The classic single-cell path keeps cross-job state on the system
 	// shard, so the same spec is valid there.
 	classic := smallStreamSpec(11)
-	classic.Tuned, classic.WarmStart, classic.Sink, classic.Lookahead = true, true, trace.Discard, 5
+	classic.Tuned, classic.WarmStart, classic.Sink = true, true, trace.Discard
 	if err := classic.Validate(); err != nil {
-		t.Errorf("classic spec with WarmStart, Sink and lookahead 5: Validate() = %v", err)
+		t.Errorf("classic spec with WarmStart and Sink: Validate() = %v", err)
 	}
 	// Fault nodes are checked on the classic path too: it would panic
 	// arming the injector otherwise.
@@ -166,12 +164,12 @@ func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 	}
 
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "lookahead") {
-			t.Fatalf("RunStream with an invalid lookahead: recovered %v, want a lookahead panic", r)
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "incompatible with Sink") {
+			t.Fatalf("RunStream with Parallel and a Sink: recovered %v, want Validate's Sink panic", r)
 		}
 	}()
 	spec := smallStreamSpec(11)
 	spec.Parallel = 2
-	spec.Lookahead = 2 * StreamSubmitDelaySecs
+	spec.Sink = trace.Discard
 	RunStream(spec)
 }
