@@ -12,7 +12,9 @@
 // connected component of links and flows reachable from the changed
 // flow. Flows in other components keep their rates and their scheduled
 // completion events untouched (see docs/MODEL.md, "Fabric complexity &
-// incremental recomputation").
+// incremental recomputation"). On a one-link fabric — each node's CPU
+// pool and disk — the component is always the whole link, and a
+// dedicated kernel fills it directly (docs/MODEL.md §9).
 //
 // Units: data quantities are in MB (1e6 bytes) and rates in MB/s; CPU
 // work is in core-seconds and CPU rates in cores. Time is in seconds.
@@ -35,8 +37,9 @@ type Link struct {
 	used metrics.Meter // current aggregate rate of flows on this link
 
 	// flows is the membership list of active flows crossing this link,
-	// maintained by Fabric.Start and Fabric.remove. Order is insertion
-	// order perturbed by swap-removal — deterministic, but arbitrary.
+	// maintained by Fabric.Start, Fabric.remove and Link.removeAt. Order
+	// is insertion order perturbed by swap-removal — deterministic, but
+	// arbitrary.
 	flows []*Flow
 
 	// scratch state for the progressive-filling computation; remaining
@@ -58,9 +61,10 @@ func (l *Link) Utilization(now float64) float64 {
 // CurrentRate returns the aggregate rate currently flowing on the link.
 func (l *Link) CurrentRate() float64 { return l.used.Level() }
 
-// inlineLinks is how many per-link membership positions a Flow stores
-// without a separate allocation; transfers cross at most four links
-// (two NICs plus two rack uplinks).
+// inlineLinks is the most links one flow may cross: a cross-rack
+// transfer's two NICs plus two rack uplinks. Flows keep their links
+// and per-link positions inline, so a start allocates nothing beyond
+// the (pooled) Flow itself.
 const inlineLinks = 4
 
 // Flow is an in-progress transfer or computation consuming fair-share
@@ -68,45 +72,38 @@ const inlineLinks = 4
 // CPU flows, the container's vcore allowance).
 type Flow struct {
 	fabric      *Fabric
-	links       []*Link
 	remaining   float64
 	rateCap     float64 // 0 means unlimited
 	rate        float64
 	prevRate    float64 // scratch: rate on entry to the current recompute
 	lastAdvance float64
 	done        func()
-	// onComplete is the cached completion callback, allocated once in
-	// Start so that rescheduling on every rate change stays
-	// allocation-free.
+	// onComplete is the cached completion callback, allocated once per
+	// Flow object so that rescheduling on every rate change stays
+	// allocation-free. It captures only the flow, so it survives the
+	// flow moving to another fabric of the same pool.
 	onComplete func()
 	ev         *sim.Event
-	index      int              // position in fabric.flows, -1 when inactive
-	pos        [inlineLinks]int // this flow's index in links[i].flows
-	posX       []int            // spill positions for flows crossing more links
-	visit      uint64           // recompute epoch this flow was last swept into
-	finished   bool
-	pooled     bool // sitting in the fabric's free list (guards double-recycle)
 	// onAbort, when set, is scheduled (asynchronously) if the flow is
 	// torn down by Fabric.Abort — a fault, not a cancellation by the
 	// flow's owner — so remote consumers can fail over instead of
 	// waiting forever on a done callback that will never fire.
 	onAbort func()
+	visit   uint64 // recompute epoch this flow was last swept into
+
+	links [inlineLinks]*Link
+	pos   [inlineLinks]int32 // this flow's index in links[i].flows
+	// index is the flow's position in its fabric's flow list — on a
+	// one-link fabric, the link's list (see Fabric.single) — and -1
+	// when the flow is in no list.
+	index    int32
+	nlinks   uint8
+	finished bool
+	pooled   bool // sitting in a free list (guards double-recycle)
 }
 
-func (f *Flow) linkPos(i int) int {
-	if i < inlineLinks {
-		return f.pos[i]
-	}
-	return f.posX[i-inlineLinks]
-}
-
-func (f *Flow) setLinkPos(i, p int) {
-	if i < inlineLinks {
-		f.pos[i] = p
-		return
-	}
-	f.posX[i-inlineLinks] = p
-}
+// linkSet returns the links the flow crosses.
+func (f *Flow) linkSet() []*Link { return f.links[:f.nlinks] }
 
 // Remaining returns the amount of work left, valid as of the last
 // recomputation that touched this flow's component.
@@ -127,16 +124,15 @@ func (f *Flow) Cancel() { f.fabric.Cancel(f) }
 // run on normal completion or on Cancel.
 func (f *Flow) SetOnAbort(fn func()) { f.onAbort = fn }
 
-// Fabric manages a set of links whose flows may interact (share links).
-// Separate resource domains (each node's disk, each node's CPU pool,
-// the cluster network) use separate fabrics so that rate recomputation
-// stays local to the domain; within a fabric, recomputation stays local
-// to the connected component of the changed flow.
-type Fabric struct {
-	Name  string
-	shard *sim.Shard
-	links []*Link
-	flows []*Flow
+// flowPool is the free list of recycled Flow objects plus the
+// recompute scratch state, shared by every fabric that schedules on one
+// shard: a rack's node-local fabrics share their rack's pool, and a
+// network fabric has its own. Sharing is safe because a pool's fabrics
+// never run concurrently and a recompute never re-enters another.
+type flowPool struct {
+	// free holds recycled flows (see Flow.Recycle), most recently
+	// finished last, so a Start reuses the flow still warm in cache.
+	free []*Flow
 
 	epoch uint64 // recompute generation for visit stamps
 
@@ -150,10 +146,27 @@ type Fabric struct {
 	// activeFlows is the progressive-filling worklist of not-yet-frozen
 	// flows (compacted by swap-removal as flows freeze).
 	activeFlows []*Flow
-	// free is the pool of recycled Flow objects (see Flow.Recycle):
-	// owners that provably hold the last reference hand finished flows
-	// back so a steady stream of Starts stops allocating.
-	free []*Flow
+}
+
+// Fabric manages a set of links whose flows may interact (share links).
+// Separate resource domains (each node's disk, each node's CPU pool,
+// the cluster network) use separate fabrics so that rate recomputation
+// stays local to the domain; within a fabric, recomputation stays local
+// to the connected component of the changed flow.
+type Fabric struct {
+	Name  string
+	shard *sim.Shard
+	links []*Link
+	// flows lists the fabric's active flows in start order perturbed by
+	// swap-removal. On a one-link fabric it holds only link-less
+	// (cap-only) flows: the flows crossing the link live in the link's
+	// own list, which sees exactly the appends and swap-removals this
+	// list would.
+	flows []*Flow
+	// single is the fabric's only link, or nil unless it has exactly
+	// one; flows crossing it take the single-link kernel.
+	single *Link
+	pool   *flowPool
 }
 
 // NewFabric returns an empty fabric bound to the shard that owns its
@@ -161,33 +174,59 @@ type Fabric struct {
 // system shard for the cluster network. Every completion event the
 // fabric schedules carries that affinity.
 func NewFabric(shard *sim.Shard, name string) *Fabric {
-	return &Fabric{Name: name, shard: shard}
+	return &Fabric{Name: name, shard: shard, pool: &flowPool{}}
 }
 
 // Shard returns the shard the fabric schedules on.
 func (fb *Fabric) Shard() *sim.Shard { return fb.shard }
 
-// AddLink registers a link with the fabric and returns it.
+// AddLink registers a link with the fabric and returns it. It panics
+// while the fabric has flows in flight.
 func (fb *Fabric) AddLink(name string, capacity float64) *Link {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("cluster: link %q must have positive capacity, got %v", name, capacity))
-	}
-	l := &Link{Name: name, Capacity: capacity}
-	l.used.Set(fb.shard.Now(), 0)  // anchor utilization accounting at creation
-	fb.links = append(fb.links, l) //mrlint:ignore retained-append one entry per topology link, built once at construction
+	l := &Link{}
+	fb.addLink(l, name, capacity)
 	return l
 }
 
+// addLink initializes l in place and registers it. Links are topology:
+// none may join while flows are in flight, since a one-link fabric
+// keeps its flows in the link's list, not the fabric's.
+func (fb *Fabric) addLink(l *Link, name string, capacity float64) {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("cluster: link %q must have positive capacity, got %v", name, capacity))
+	}
+	if fb.ActiveFlows() > 0 {
+		panic(fmt.Sprintf("cluster: link %q added to fabric %q with flows in flight", name, fb.Name))
+	}
+	l.Name, l.Capacity = name, capacity
+	l.used.Set(fb.shard.Now(), 0)  // anchor utilization accounting at creation
+	fb.links = append(fb.links, l) //mrlint:ignore retained-append one entry per topology link, built once at construction
+	fb.single = nil
+	if len(fb.links) == 1 {
+		fb.single = l
+	}
+}
+
 // ActiveFlows returns the number of in-flight flows in the fabric.
-func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
+func (fb *Fabric) ActiveFlows() int {
+	if fb.single != nil {
+		return len(fb.flows) + len(fb.single.flows)
+	}
+	return len(fb.flows)
+}
 
 // Start begins a flow of `work` units across the given links, at most
 // rateCap units/s (0 = unlimited), invoking done when the work
-// completes. Links must belong to this fabric and must be distinct. A
-// flow must be constrained by at least one link or a positive rate cap.
+// completes. Links must belong to this fabric and must be distinct, at
+// most four of them; the fabric copies them, so the slice may live on
+// the caller's stack. A flow must be constrained by at least one link
+// or a positive rate cap.
 func (fb *Fabric) Start(links []*Link, work, rateCap float64, done func()) *Flow {
 	if len(links) == 0 && rateCap <= 0 {
 		panic("cluster: flow with no links and no rate cap would be infinitely fast")
+	}
+	if len(links) > inlineLinks {
+		panic(fmt.Sprintf("cluster: flow crosses %d links, at most %d supported", len(links), inlineLinks))
 	}
 	if work < 0 || math.IsNaN(work) || math.IsInf(work, 0) {
 		panic(fmt.Sprintf("cluster: invalid flow work %v", work))
@@ -199,64 +238,57 @@ func (fb *Fabric) Start(links []*Link, work, rateCap float64, done func()) *Flow
 			}
 		}
 	}
-	if work == 0 {
-		// Zero-size work completes immediately (but asynchronously, to
-		// keep callback ordering uniform). These flows never enter the
-		// fabric lists and are not drawn from the pool.
-		f := &Flow{fabric: fb, links: links, remaining: work, rateCap: rateCap, done: done, index: -1}
-		fb.shard.After(0, func() {
-			if !f.finished {
-				f.finished = true
-				if done != nil {
-					done()
-				}
-			}
-		})
-		return f
-	}
-	f := fb.newFlow()
-	f.links = links
+	f := fb.pool.get(fb)
+	f.nlinks = uint8(copy(f.links[:], links))
 	f.remaining = work
 	f.rateCap = rateCap
 	f.done = done
 	f.index = -1
-	if n := len(links); n > inlineLinks {
-		if need := n - inlineLinks; cap(f.posX) >= need {
-			f.posX = f.posX[:need]
-		} else {
-			f.posX = make([]int, need)
+	if work == 0 {
+		// Zero-size work completes immediately but asynchronously, to
+		// keep callback ordering uniform, and never joins a flow list.
+		// The completion is held in f.ev like any other, so Cancel
+		// withdraws it and Recycle refuses the flow while it is queued.
+		f.ev = fb.shard.After(0, f.onComplete)
+		return f
+	}
+	if l := fb.single; l != nil && f.nlinks == 1 {
+		f.index = int32(len(l.flows))
+		f.pos[0] = f.index
+		l.flows = append(l.flows, f)
+	} else {
+		f.index = int32(len(fb.flows))
+		fb.flows = append(fb.flows, f)
+		for i, l := range f.linkSet() {
+			f.pos[i] = int32(len(l.flows))
+			l.flows = append(l.flows, f)
 		}
 	}
-	if f.onComplete == nil {
-		f.onComplete = func() { fb.complete(f) }
-	}
-	f.index = len(fb.flows)
-	fb.flows = append(fb.flows, f)
-	for i, l := range links {
-		f.setLinkPos(i, len(l.flows))
-		l.flows = append(l.flows, f)
-	}
-	fb.recompute(links, f)
+	fb.recompute(f.linkSet(), f)
 	return f
 }
 
-// newFlow pops a recycled Flow or allocates a fresh one. Pooled flows
-// keep their cached onComplete closure (it captures only the (fabric,
-// flow) pair, which survives recycling) and their posX capacity.
-func (fb *Fabric) newFlow() *Flow {
-	if n := len(fb.free); n > 0 {
-		f := fb.free[n-1]
-		fb.free[n-1] = nil
-		fb.free = fb.free[:n-1]
+// get pops the most recently recycled Flow or allocates a fresh one,
+// binding it to fb. A fresh flow gets its completion callback here;
+// a pooled one keeps it.
+func (p *flowPool) get(fb *Fabric) *Flow {
+	var f *Flow
+	if n := len(p.free); n > 0 {
+		f = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 		f.pooled = false
 		f.finished = false
-		return f
+	} else {
+		f = &Flow{}
+		f.onComplete = func() { f.fabric.complete(f) }
 	}
-	return &Flow{fabric: fb}
+	f.fabric = fb
+	return f
 }
 
-// recycleFlow resets a flow that has fully left the fabric and parks
-// it in the free list. Flows still queued, in flight, or already
+// recycleFlow resets a flow that has fully left its fabric and parks
+// it in the pool's free list. Flows still queued, in flight, or already
 // pooled are left alone, so callers may invoke it unconditionally
 // during teardown.
 func (fb *Fabric) recycleFlow(f *Flow) {
@@ -264,7 +296,8 @@ func (fb *Fabric) recycleFlow(f *Flow) {
 		return
 	}
 	f.pooled = true
-	f.links = nil
+	f.links = [inlineLinks]*Link{}
+	f.nlinks = 0
 	f.remaining = 0
 	f.rateCap = 0
 	f.rate = 0
@@ -272,16 +305,20 @@ func (fb *Fabric) recycleFlow(f *Flow) {
 	f.lastAdvance = 0
 	f.done = nil
 	f.onAbort = nil
-	fb.free = append(fb.free, f)
+	fb.pool.free = append(fb.pool.free, f)
 }
 
-// Recycle hands a finished flow back to its fabric's free pool for
-// reuse by a future Start. Strict ownership contract: call it only
-// when you hold the last reference — after Recycle the object may be
-// handed to an unrelated Start, so a retained pointer must never be
-// Canceled or inspected again. Unfinished, still-queued, and
-// already-recycled flows are ignored, which makes Recycle safe to
-// call unconditionally when tearing down a completed owner.
+// Recycle hands a finished flow back to its fabric's pool for reuse by
+// a future Start on any fabric sharing that pool. Strict ownership
+// contract: call it only when you hold the last reference. After
+// Recycle the object may be handed to an unrelated Start at once, so a
+// retained pointer must never be Canceled or inspected again. The
+// fabric drops its own reference when the flow completes, so the owner
+// of a completed flow — the HDFS op that started it, or a task at the
+// phase boundary its flows' join callback opened — may recycle it.
+// Unfinished, still-queued and already-recycled flows are ignored,
+// which makes Recycle safe to call unconditionally when tearing down a
+// completed owner.
 func (f *Flow) Recycle() {
 	if f == nil {
 		return
@@ -300,8 +337,7 @@ func (fb *Fabric) Cancel(f *Flow) {
 		f.ev = nil
 	}
 	if f.index >= 0 {
-		fb.remove(f)
-		fb.recompute(f.links, nil)
+		fb.detach(f)
 	}
 }
 
@@ -331,7 +367,31 @@ func (fb *Fabric) SetCapacity(l *Link, capacity float64) {
 		return
 	}
 	l.Capacity = capacity
-	fb.recompute([]*Link{l}, nil)
+	seeds := [1]*Link{l}
+	fb.recompute(seeds[:], nil)
+}
+
+// detach removes an in-list flow from the fabric and rebalances what
+// it leaves behind.
+func (fb *Fabric) detach(f *Flow) {
+	if l := fb.single; l != nil && f.nlinks == 1 {
+		l.removeAt(f.index)
+		f.index = -1
+	} else {
+		fb.remove(f)
+	}
+	fb.recompute(f.linkSet(), nil)
+}
+
+// removeAt swap-removes the flow at position p of a one-link fabric's
+// link list, where a flow's index and its position coincide.
+func (l *Link) removeAt(p int32) {
+	last := len(l.flows) - 1
+	moved := l.flows[last]
+	l.flows[p] = moved
+	moved.index, moved.pos[0] = p, p
+	l.flows[last] = nil
+	l.flows = l.flows[:last]
 }
 
 // remove detaches f from the fabric's flow list and from every link's
@@ -344,17 +404,17 @@ func (fb *Fabric) remove(f *Flow) {
 	fb.flows[last] = nil
 	fb.flows = fb.flows[:last]
 	f.index = -1
-	for li, l := range f.links {
-		p := f.linkPos(li)
+	for li, l := range f.linkSet() {
+		p := f.pos[li]
 		lastF := len(l.flows) - 1
 		moved := l.flows[lastF]
 		l.flows[p] = moved
 		l.flows[lastF] = nil
 		l.flows = l.flows[:lastF]
 		if moved != f {
-			for mi, ml := range moved.links {
+			for mi, ml := range moved.linkSet() {
 				if ml == l {
-					moved.setLinkPos(mi, p)
+					moved.pos[mi] = p
 					break
 				}
 			}
@@ -369,13 +429,133 @@ func (fb *Fabric) complete(f *Flow) {
 	f.finished = true
 	f.ev = nil
 	f.remaining = 0
-	fb.remove(f)
-	// Recompute before the callback so that work started inside the
+	// Rebalance before the callback so that work started inside the
 	// callback sees up-to-date rates (it will trigger its own
 	// recompute anyway, but intermediate meter accounting stays exact).
-	fb.recompute(f.links, nil)
+	if f.index >= 0 {
+		fb.detach(f)
+	}
 	if f.done != nil {
 		f.done()
+	}
+}
+
+// reschedule moves f's completion event after a recompute, but only
+// when its rate actually changed (exact float comparison: an epsilon
+// window would make the outcome depend on accumulated drift and break
+// reproducibility).
+func (fb *Fabric) reschedule(f *Flow, now float64) {
+	if f.rate == f.prevRate && (f.ev != nil || f.rate == 0) {
+		// Rate is bit-identical to before: the scheduled completion
+		// event is still exact, leave it alone.
+		return
+	}
+	if f.rate > 0 {
+		if f.ev != nil {
+			// Move the queued completion in place instead of
+			// cancel+allocate (canceled events are never recycled).
+			f.ev = fb.shard.Reschedule(f.ev, now+f.remaining/f.rate)
+		} else {
+			f.ev = fb.shard.After(f.remaining/f.rate, f.onComplete)
+		}
+	} else if f.ev != nil {
+		fb.shard.Cancel(f.ev)
+		f.ev = nil
+	}
+}
+
+// advance brings f's remaining work up to now at its current rate and
+// remembers that rate for reschedule.
+func (f *Flow) advance(now float64) {
+	if f.rate > 0 {
+		f.remaining -= f.rate * (now - f.lastAdvance)
+		if f.remaining < 0 {
+			f.remaining = 0
+		}
+	}
+	f.lastAdvance = now
+	f.prevRate = f.rate
+}
+
+// relEps is progressive filling's relative freeze tolerance for caps
+// and exhausted links.
+const relEps = 1e-12
+
+// recomputeSingle is recompute for a one-link fabric, where the
+// component is always the link and every flow on it. It runs the same
+// progressive filling straight over the link's list, which is index
+// order by construction: no component sweep, no epoch stamps, no sort.
+// Every flow's rate, the meter sum and the reschedule order match the
+// general path bit for bit (docs/MODEL.md §9).
+func (fb *Fabric) recomputeSingle(l *Link) {
+	now := fb.shard.Now()
+	flows := l.flows
+	switch len(flows) {
+	case 0:
+		l.used.Set(now, 0)
+		return
+	case 1:
+		// A lone flow fills the link in one round: share = capacity/1,
+		// or its cap when that is tighter.
+		f := flows[0]
+		f.advance(now)
+		f.rate = l.Capacity
+		if f.rateCap > 0 && f.rateCap < f.rate {
+			f.rate = f.rateCap
+		}
+		l.used.Set(now, f.rate)
+		fb.reschedule(f, now)
+		return
+	}
+	for _, f := range flows {
+		f.advance(now)
+		f.rate = 0
+	}
+	// Every active flow crosses the one link, so the link's count is
+	// the worklist's length; once the link is exhausted every flow
+	// freezes.
+	active := append(fb.pool.activeFlows[:0], flows...)
+	fb.pool.activeFlows = active // keep grown capacity for the next recompute
+	remaining := l.Capacity
+	for len(active) > 0 {
+		delta := remaining / float64(len(active))
+		for _, f := range active {
+			if f.rateCap > 0 {
+				if room := f.rateCap - f.rate; room < delta {
+					delta = room
+				}
+			}
+		}
+		if delta < 0 {
+			delta = 0
+		}
+		for _, f := range active {
+			f.rate += delta
+		}
+		remaining -= delta * float64(len(active))
+		if remaining <= relEps*l.Capacity {
+			break
+		}
+		for i := 0; i < len(active); {
+			if f := active[i]; f.rateCap > 0 && f.rate >= f.rateCap-relEps*f.rateCap {
+				last := len(active) - 1
+				active[i] = active[last]
+				active = active[:last]
+			} else {
+				i++
+			}
+		}
+		if delta == 0 {
+			break
+		}
+	}
+	sum := 0.0
+	for _, f := range flows {
+		sum += f.rate
+	}
+	l.used.Set(now, sum)
+	for _, f := range flows {
+		fb.reschedule(f, now)
 	}
 }
 
@@ -395,16 +575,25 @@ func (fb *Fabric) complete(f *Flow) {
 // outcome depend on accumulated drift and break reproducibility).
 // Flows outside the component share no link with any flow inside it,
 // transitively, so their fair-share rates — and therefore their
-// scheduled completion events — are provably unaffected.
+// scheduled completion events — are provably unaffected. On a
+// one-link fabric the component is the whole link, and recomputeSingle
+// does the work.
 func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
+	if fb.single != nil && len(seeds) == 1 {
+		fb.recomputeSingle(seeds[0])
+		return
+	}
 	now := fb.shard.Now()
+	p := fb.pool
 
 	// Sweep out the connected component (links and flows) from the
-	// seeds. visit stamps make membership checks O(1) without clearing.
-	fb.epoch++
-	ep := fb.epoch
-	links := fb.dirtyLinks[:0]
-	flows := fb.dirtyFlows[:0]
+	// seeds. visit stamps make membership checks O(1) without clearing;
+	// the epoch is pool-wide, so a flow recycled from another fabric of
+	// the pool never carries a stamp from the future.
+	p.epoch++
+	ep := p.epoch
+	links := p.dirtyLinks[:0]
+	flows := p.dirtyFlows[:0]
 	for _, l := range seeds {
 		if l.visit != ep {
 			l.visit = ep
@@ -420,7 +609,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 			if f.visit != ep {
 				f.visit = ep
 				flows = append(flows, f)
-				for _, fl := range f.links {
+				for _, fl := range f.linkSet() {
 					if fl.visit != ep {
 						fl.visit = ep
 						links = append(links, fl)
@@ -429,8 +618,8 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 			}
 		}
 	}
-	fb.dirtyLinks = links // keep grown capacity for the next recompute
-	fb.dirtyFlows = flows
+	p.dirtyLinks = links // keep grown capacity for the next recompute
+	p.dirtyFlows = flows
 
 	if len(flows) == 0 {
 		// The changed flow was the last one on its links.
@@ -445,14 +634,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	// valid) rates; they are advanced whenever their component is next
 	// recomputed or their completion event fires.
 	for _, f := range flows {
-		if f.rate > 0 {
-			f.remaining -= f.rate * (now - f.lastAdvance)
-			if f.remaining < 0 {
-				f.remaining = 0
-			}
-		}
-		f.lastAdvance = now
-		f.prevRate = f.rate
+		f.advance(now)
 	}
 
 	// Progressive filling, scoped to the component. The arithmetic is
@@ -469,16 +651,15 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	// active flow accumulates the same delta per round, and the freeze
 	// decision reads only f.rate/f.rateCap and l.remaining, all fixed
 	// during a freeze sweep (l.count changes only affect later rounds).
-	active := fb.activeFlows[:0]
+	active := p.activeFlows[:0]
 	for _, f := range flows {
 		f.rate = 0
 		active = append(active, f)
-		for _, l := range f.links {
+		for _, l := range f.linkSet() {
 			l.count++
 		}
 	}
-	fb.activeFlows = active // keep grown capacity for the next recompute
-	const relEps = 1e-12
+	p.activeFlows = active // keep grown capacity for the next recompute
 	for len(active) > 0 {
 		delta := math.Inf(1)
 		for _, l := range links {
@@ -518,7 +699,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 				freeze = true
 			}
 			if !freeze {
-				for _, l := range f.links {
+				for _, l := range f.linkSet() {
 					if l.remaining <= relEps*l.Capacity {
 						freeze = true
 						break
@@ -526,7 +707,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 				}
 			}
 			if freeze {
-				for _, l := range f.links {
+				for _, l := range f.linkSet() {
 					l.count--
 				}
 				last := len(active) - 1
@@ -540,7 +721,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 			// All remaining flows are rate-0 (exhausted links with
 			// count>0 but zero remaining). Freeze them to terminate.
 			for _, f := range active {
-				for _, l := range f.links {
+				for _, l := range f.linkSet() {
 					l.count--
 				}
 			}
@@ -570,7 +751,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 			flows[j+1] = f
 		}
 	} else {
-		ordered := fb.orderedFlows[:0]
+		ordered := p.orderedFlows[:0]
 		for _, g := range fb.flows {
 			if g.visit != ep {
 				continue
@@ -580,15 +761,15 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 				break
 			}
 		}
-		fb.orderedFlows = fb.dirtyFlows // swap buffers, keeping both grown
-		fb.dirtyFlows = ordered
+		p.orderedFlows = p.dirtyFlows // swap buffers, keeping both grown
+		p.dirtyFlows = ordered
 		flows = ordered
 	}
 	for _, l := range links {
 		l.remaining = 0
 	}
 	for _, f := range flows {
-		for _, l := range f.links {
+		for _, l := range f.linkSet() {
 			l.remaining += f.rate
 		}
 	}
@@ -596,22 +777,6 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 		l.used.Set(now, l.remaining)
 	}
 	for _, f := range flows {
-		if f.rate == f.prevRate && (f.ev != nil || f.rate == 0) {
-			// Rate is bit-identical to before: the scheduled completion
-			// event is still exact, leave it alone.
-			continue
-		}
-		if f.rate > 0 {
-			if f.ev != nil {
-				// Move the queued completion in place instead of
-				// cancel+allocate (canceled events are never recycled).
-				f.ev = fb.shard.Reschedule(f.ev, now+f.remaining/f.rate)
-			} else {
-				f.ev = fb.shard.After(f.remaining/f.rate, f.onComplete)
-			}
-		} else if f.ev != nil {
-			fb.shard.Cancel(f.ev)
-			f.ev = nil
-		}
+		fb.reschedule(f, now)
 	}
 }

@@ -90,21 +90,27 @@ func BenchmarkFabricChurnLarge(b *testing.B) {
 
 // TestRecomputeSteadyStateAllocationFree pins the sort-free recompute:
 // once the scratch buffers have grown to the component size, a
-// recomputation whose rates do not change must not allocate — on both
-// the small-component insertion-sort path and the large-component
-// epoch-scan path.
+// recomputation whose rates do not change must not allocate — on the
+// general path's small-component insertion-sort and large-component
+// epoch-scan orderings (forced by an idle second link) and on the
+// single-link kernel.
 func TestRecomputeSteadyStateAllocationFree(t *testing.T) {
-	for _, nFlows := range []int{8, 32} { // ≤24 and >24 ordering paths
-		eng := sim.NewEngine()
-		fb := NewFabric(eng.SystemShard(), "alloc")
-		l := fb.AddLink("l", 100)
-		for i := 0; i < nFlows; i++ {
-			fb.Start([]*Link{l}, 1e12, 0, nil)
-		}
-		seeds := []*Link{l}
-		fb.recompute(seeds, nil) // warm the scratch buffers
-		if a := testing.AllocsPerRun(100, func() { fb.recompute(seeds, nil) }); a != 0 {
-			t.Errorf("steady-state recompute (%d flows) allocates %v per run, want 0", nFlows, a)
+	for _, idleLink := range []bool{true, false} { // general path, then the kernel
+		for _, nFlows := range []int{8, 32} { // ≤24 and >24 ordering paths
+			eng := sim.NewEngine()
+			fb := NewFabric(eng.SystemShard(), "alloc")
+			l := fb.AddLink("l", 100)
+			if idleLink {
+				fb.AddLink("idle", 100)
+			}
+			for i := 0; i < nFlows; i++ {
+				fb.Start([]*Link{l}, 1e12, 0, nil)
+			}
+			seeds := []*Link{l}
+			fb.recompute(seeds, nil) // warm the scratch buffers
+			if a := testing.AllocsPerRun(100, func() { fb.recompute(seeds, nil) }); a != 0 {
+				t.Errorf("steady-state recompute (%d flows, idle link %v) allocates %v per run, want 0", nFlows, idleLink, a)
+			}
 		}
 	}
 }

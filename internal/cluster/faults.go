@@ -42,12 +42,12 @@ func (c *Cluster) KillNode(n *Node) {
 	}
 	n.down = true
 	c.FaultsFor(n.Rack).NodesDowned++
-	// Node-private fabrics: every flow in them belongs to this node.
-	// Abort mutates the flow list by swap-removal, so drain from the
-	// tail.
-	for _, fb := range []*Fabric{n.cpu, n.disk} {
-		for len(fb.flows) > 0 {
-			fb.Abort(fb.flows[len(fb.flows)-1])
+	// Node-private fabrics: every flow in them belongs to this node and
+	// crosses its one link. Abort mutates the link's list by
+	// swap-removal, so drain from the tail.
+	for _, fb := range [2]*Fabric{&n.res.cpu, &n.res.disk} {
+		for l := fb.single; len(l.flows) > 0; {
+			fb.Abort(l.flows[len(l.flows)-1])
 		}
 	}
 	// Network flows crossing either NIC direction: collect first, since

@@ -24,16 +24,7 @@ type Node struct {
 
 	Mem *MemPool // container memory, MB
 
-	cpu      *Fabric
-	cpuLink  *Link
-	disk     *Fabric
-	diskLink *Link
-	// cpuLinks/diskLinks are persistent one-element link slices shared
-	// by every flow on the node's single-link fabrics. The fabric never
-	// mutates a flow's links slice, so the share is safe and saves one
-	// allocation per Compute/DiskRead/DiskWrite.
-	cpuLinks  []*Link
-	diskLinks []*Link
+	res *nodeResources
 
 	NICIn  *Link // receive direction, in the cluster network fabric
 	NICOut *Link // transmit direction
@@ -47,6 +38,27 @@ type Node struct {
 	// node accepts no new work; its fabrics still exist so that restore
 	// is cheap, but every flow was aborted at crash time.
 	down bool
+}
+
+// nodeResources is a node's two local resource domains, the CPU pool
+// and the disk, each a one-link fabric. New allocates them, their links
+// and the fabrics' link lists as one object, so starting a node-local
+// flow touches one contiguous block instead of four scattered ones.
+type nodeResources struct {
+	cpu, disk         Fabric
+	cpuLink, diskLink Link
+	links             [2]*Link // backing store of cpu.links and disk.links
+}
+
+// newNodeResources builds the domains on shard rs, drawing flows from
+// the rack's shared pool.
+func newNodeResources(rs *sim.Shard, pool *flowPool, name string, cores, diskMBps float64) *nodeResources {
+	r := &nodeResources{}
+	r.cpu = Fabric{Name: name + "/cpu", shard: rs, links: r.links[0:0:1], pool: pool}
+	r.cpu.addLink(&r.cpuLink, r.cpu.Name, cores)
+	r.disk = Fabric{Name: name + "/disk", shard: rs, links: r.links[1:1:2], pool: pool}
+	r.disk.addLink(&r.diskLink, r.disk.Name, diskMBps)
+	return r
 }
 
 // CoreRatio returns physical cores per vcore: a container holding v
@@ -63,18 +75,18 @@ func (n *Node) Compute(cpuSeconds, maxCores float64, done func()) *Flow {
 	if maxCores <= 0 {
 		panic(fmt.Sprintf("cluster: Compute on %s with non-positive core cap %v", n.Name, maxCores))
 	}
-	return n.cpu.Start(n.cpuLinks, cpuSeconds, maxCores, done)
+	return n.res.cpu.Start(n.res.cpu.links, cpuSeconds, maxCores, done)
 }
 
 // DiskRead starts a disk flow of mb megabytes. Reads and writes share
 // the single disk channel, as on the paper's one-SATA-disk nodes.
 func (n *Node) DiskRead(mb float64, done func()) *Flow {
-	return n.disk.Start(n.diskLinks, mb, 0, done)
+	return n.res.disk.Start(n.res.disk.links, mb, 0, done)
 }
 
 // DiskWrite starts a disk flow of mb megabytes.
 func (n *Node) DiskWrite(mb float64, done func()) *Flow {
-	return n.disk.Start(n.diskLinks, mb, 0, done)
+	return n.res.disk.Start(n.res.disk.links, mb, 0, done)
 }
 
 // CancelFlow aborts a flow previously started on this node's CPU or
@@ -88,11 +100,11 @@ func (n *Node) CancelFlow(f *Flow) {
 
 // CPUUtilization returns the time-average fraction of physical cores
 // busy through now.
-func (n *Node) CPUUtilization(now float64) float64 { return n.cpuLink.Utilization(now) }
+func (n *Node) CPUUtilization(now float64) float64 { return n.res.cpuLink.Utilization(now) }
 
 // DiskUtilization returns the time-average fraction of disk bandwidth
 // busy through now.
-func (n *Node) DiskUtilization(now float64) float64 { return n.diskLink.Utilization(now) }
+func (n *Node) DiskUtilization(now float64) float64 { return n.res.diskLink.Utilization(now) }
 
 // Cluster returns the owning cluster.
 func (n *Node) Cluster() *Cluster { return n.cluster }
@@ -104,12 +116,12 @@ func (n *Node) Shard() *sim.Shard { return n.shard }
 // the "dynamic cluster utilization information" MRONLINE's monitor
 // samples for hot-spot avoidance.
 func (n *Node) CPULoad() float64 {
-	return n.cpuLink.CurrentRate() / n.cpuLink.Capacity
+	return n.res.cpuLink.CurrentRate() / n.res.cpuLink.Capacity
 }
 
 // DiskLoad returns the instantaneous fraction of disk bandwidth busy.
 func (n *Node) DiskLoad() float64 {
-	return n.diskLink.CurrentRate() / n.diskLink.Capacity
+	return n.res.diskLink.CurrentRate() / n.res.diskLink.Capacity
 }
 
 // InjectDiskLoad starts background disk traffic on the node: up to
@@ -117,13 +129,13 @@ func (n *Node) DiskLoad() float64 {
 // It models interference from co-located services — the cluster hot
 // spots the paper's online tuning reacts to.
 func (n *Node) InjectDiskLoad(rate, duration float64, done func()) *Flow {
-	return n.disk.Start(n.diskLinks, rate*duration, rate, done)
+	return n.res.disk.Start(n.res.disk.links, rate*duration, rate, done)
 }
 
 // InjectCPULoad starts a background computation using up to `cores`
 // cores for `duration` seconds.
 func (n *Node) InjectCPULoad(cores, duration float64, done func()) *Flow {
-	return n.cpu.Start(n.cpuLinks, cores*duration, cores, done)
+	return n.res.cpu.Start(n.res.cpu.links, cores*duration, cores, done)
 }
 
 // Down reports whether the node is currently crashed.
@@ -131,18 +143,18 @@ func (n *Node) Down() bool { return n.down }
 
 // CPUCapacity returns the CPU link's current capacity in cores (equal
 // to Cores unless fault injection degraded it).
-func (n *Node) CPUCapacity() float64 { return n.cpuLink.Capacity }
+func (n *Node) CPUCapacity() float64 { return n.res.cpuLink.Capacity }
 
 // SetCPUCapacity rescales the node's CPU pool (fault injection: a slow
 // or throttled node). Running flows continue at recomputed fair shares.
-func (n *Node) SetCPUCapacity(cores float64) { n.cpu.SetCapacity(n.cpuLink, cores) }
+func (n *Node) SetCPUCapacity(cores float64) { n.res.cpu.SetCapacity(&n.res.cpuLink, cores) }
 
 // DiskBandwidth returns the disk link's current capacity in MB/s.
-func (n *Node) DiskBandwidth() float64 { return n.diskLink.Capacity }
+func (n *Node) DiskBandwidth() float64 { return n.res.diskLink.Capacity }
 
 // SetDiskBandwidth rescales the node's disk channel (fault injection:
 // a degraded disk).
-func (n *Node) SetDiskBandwidth(mbps float64) { n.disk.SetCapacity(n.diskLink, mbps) }
+func (n *Node) SetDiskBandwidth(mbps float64) { n.res.disk.SetCapacity(&n.res.diskLink, mbps) }
 
 // NICBandwidth returns the per-direction NIC capacity in MB/s.
 func (n *Node) NICBandwidth() float64 { return n.NICIn.Capacity }

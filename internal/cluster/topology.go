@@ -148,6 +148,10 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		}
 	}
 
+	// One flow pool per rack shard, shared by the rack's node-local
+	// fabrics: a flow finished on one node's disk is reused by the next
+	// start on any node of the rack, while it is still warm in cache.
+	pools := make([]flowPool, racks)
 	addNode := func(rack int, cores float64, vcores int, memMB, diskMBps, nicMBps float64) {
 		id := len(c.Nodes)
 		name := fmt.Sprintf("node%02d", id)
@@ -162,12 +166,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 			cluster: c,
 			shard:   rs,
 		}
-		n.cpu = NewFabric(rs, name+"/cpu")
-		n.cpuLink = n.cpu.AddLink(name+"/cpu", cores)
-		n.disk = NewFabric(rs, name+"/disk")
-		n.diskLink = n.disk.AddLink(name+"/disk", diskMBps)
-		n.cpuLinks = []*Link{n.cpuLink}
-		n.diskLinks = []*Link{n.diskLink}
+		n.res = newNodeResources(rs, &pools[rack], name, cores, diskMBps)
 		nf := c.net
 		if c.rackNets != nil {
 			nf = c.rackNets[rack]
@@ -237,11 +236,13 @@ func (c *Cluster) Transfer(src, dst *Node, mb float64, done func()) *Flow {
 	if src.Rack != dst.Rack && c.rackNets != nil {
 		panic(fmt.Sprintf("cluster: cross-rack transfer %s -> %s in rack-local network mode", src.Name, dst.Name))
 	}
-	links := []*Link{src.NICOut, dst.NICIn}
+	links := [inlineLinks]*Link{src.NICOut, dst.NICIn}
+	n := 2
 	if src.Rack != dst.Rack && len(c.uplinks) > 0 {
-		links = append(links, c.uplinks[src.Rack], c.uplinks[dst.Rack])
+		links[2], links[3] = c.uplinks[src.Rack], c.uplinks[dst.Rack]
+		n = 4
 	}
-	return c.netFor(src).Start(links, mb, 0, done)
+	return c.netFor(src).Start(links[:n], mb, 0, done)
 }
 
 // Fetch starts an inbound network flow of mb megabytes terminating at
@@ -251,8 +252,11 @@ func (c *Cluster) Transfer(src, dst *Node, mb float64, done func()) *Flow {
 // uplinks are the bottleneck — so the flow occupies dst's receive NIC
 // plus, for the crossRackFrac portion, dst's rack uplink. rateCap (0 =
 // none) bounds the aggregate fetch rate, modelling a limited number of
-// parallel copy threads.
-func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func()) []*Flow {
+// parallel copy threads. It returns the flows in start order: a split
+// fetch is a cross-rack flow then a rack-local one, an unsplit fetch
+// one flow and a nil second.
+func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func()) (first, second *Flow) {
+	nf := c.netFor(dst)
 	if crossRackFrac > 0 && len(c.uplinks) > 0 {
 		// Split into a rack-local part and a cross-rack part; done fires
 		// when both complete. The rate cap is divided pro rata.
@@ -268,13 +272,13 @@ func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func
 			capCross = rateCap * crossRackFrac
 			capLocal = rateCap * (1 - crossRackFrac)
 		}
-		nf := c.netFor(dst)
-		return []*Flow{
-			nf.Start([]*Link{dst.NICIn, c.uplinks[dst.Rack]}, mb*crossRackFrac, capCross, child),
-			nf.Start([]*Link{dst.NICIn}, mb*(1-crossRackFrac), capLocal, child),
-		}
+		cross := [2]*Link{dst.NICIn, c.uplinks[dst.Rack]}
+		first = nf.Start(cross[:], mb*crossRackFrac, capCross, child)
+		second = nf.Start(cross[:1], mb*(1-crossRackFrac), capLocal, child)
+		return first, second
 	}
-	return []*Flow{c.netFor(dst).Start([]*Link{dst.NICIn}, mb, rateCap, done)}
+	local := [1]*Link{dst.NICIn}
+	return nf.Start(local[:], mb, rateCap, done), nil
 }
 
 // netFor returns the fabric that carries flows touching n: the shared

@@ -24,11 +24,14 @@ type ReadOp struct {
 	// the owning task fail its attempt instead of hanging.
 	OnFail func()
 
-	flows    []*cluster.Flow
-	left     int
-	finished bool
-	canceled bool
-	retrying bool
+	flows []*cluster.Flow
+	// childFn and abortFn are child and aborted bound once per op, so
+	// no wave or retry allocates a fresh method value.
+	childFn, abortFn func()
+	left             int
+	finished         bool
+	canceled         bool
+	retrying         bool
 }
 
 // StartRead begins streaming block b to the reader node, like Read,
@@ -36,6 +39,7 @@ type ReadOp struct {
 // replica. done fires exactly once, when a full copy has streamed.
 func (fs *FileSystem) StartRead(b *Block, reader *cluster.Node, done func()) *ReadOp {
 	op := &ReadOp{fs: fs, b: b, reader: reader, done: done}
+	op.childFn, op.abortFn = op.child, op.aborted
 	op.start()
 	return op
 }
@@ -65,8 +69,8 @@ func (op *ReadOp) start() {
 		return
 	}
 	if b.HasReplicaOn(reader) {
-		f := reader.DiskRead(b.SizeMB, op.child)
-		f.SetOnAbort(op.aborted)
+		f := reader.DiskRead(b.SizeMB, op.childFn)
+		f.SetOnAbort(op.abortFn)
 		op.left = 1
 		op.flows = append(op.flows[:0], f)
 		return
@@ -74,11 +78,11 @@ func (op *ReadOp) start() {
 	src := fs.closestReplica(b, reader)
 	op.left = 2
 	op.flows = append(op.flows[:0],
-		src.DiskRead(b.SizeMB, op.child),
-		fs.c.Transfer(src, reader, b.SizeMB, op.child),
+		src.DiskRead(b.SizeMB, op.childFn),
+		fs.c.Transfer(src, reader, b.SizeMB, op.childFn),
 	)
 	for _, f := range op.flows {
-		f.SetOnAbort(op.aborted)
+		f.SetOnAbort(op.abortFn)
 	}
 }
 
@@ -151,11 +155,13 @@ type WriteOp struct {
 	sizeMB float64
 	done   func()
 
-	flows    []*cluster.Flow
-	left     int
-	finished bool
-	canceled bool
-	retrying bool
+	flows []*cluster.Flow
+	// childFn and abortFn are bound once per op, as in ReadOp.
+	childFn, abortFn func()
+	left             int
+	finished         bool
+	canceled         bool
+	retrying         bool
 }
 
 // StartWrite begins storing sizeMB originating at node through the
@@ -165,6 +171,7 @@ type WriteOp struct {
 // is durable.
 func (fs *FileSystem) StartWrite(node *cluster.Node, sizeMB float64, done func()) *WriteOp {
 	op := &WriteOp{fs: fs, node: node, sizeMB: sizeMB, done: done}
+	op.childFn, op.abortFn = op.child, op.aborted
 	op.start()
 	return op
 }
@@ -198,13 +205,13 @@ func (op *WriteOp) start() {
 	}
 	op.flows = op.flows[:0]
 	for i, r := range replicas {
-		op.flows = append(op.flows, r.DiskWrite(op.sizeMB, op.child))
+		op.flows = append(op.flows, r.DiskWrite(op.sizeMB, op.childFn))
 		if i > 0 {
-			op.flows = append(op.flows, fs.c.Transfer(replicas[i-1], r, op.sizeMB, op.child))
+			op.flows = append(op.flows, fs.c.Transfer(replicas[i-1], r, op.sizeMB, op.childFn))
 		}
 	}
 	for _, f := range op.flows {
-		f.SetOnAbort(op.aborted)
+		f.SetOnAbort(op.abortFn)
 	}
 }
 

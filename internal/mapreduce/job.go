@@ -312,9 +312,23 @@ func (j *Job) requestContainerWithConfig(t *Task, cfg mrconf.Config) {
 	j.app.Request(&t.req)
 }
 
-// track registers an attempt's in-flight flows for kill support.
-func (t *Task) track(flows ...*cluster.Flow) {
-	t.liveFlows = append(t.liveFlows, flows...)
+// track registers an attempt's in-flight flow for kill support.
+func (t *Task) track(f *cluster.Flow) {
+	t.liveFlows = append(t.liveFlows, f)
+}
+
+// recycleFlows hands the flows of the phase that just ended back to
+// their fabrics' pools. Call it only at a phase boundary — the entry of
+// the callback that the phase's join opened — where every tracked flow
+// has completed and liveFlows holds the only reference: the fabric
+// dropped its own on completion, HDFS ops own (and recycle) their
+// flows, and cancelWork drops a killed attempt's flows instead of
+// recycling them.
+func (t *Task) recycleFlows() {
+	for _, f := range t.liveFlows {
+		f.Recycle()
+	}
+	t.liveFlows = clearSlice(t.liveFlows)
 }
 
 // trackOp registers an attempt's in-flight HDFS operation for kill

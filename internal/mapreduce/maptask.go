@@ -138,6 +138,7 @@ func (j *Job) mapMerge(t *Task, combinedMB, overlapMB float64, numSpills int) {
 	if j.finished || t.killed {
 		return
 	}
+	t.recycleFlows()
 	p := j.bench.Profile
 	node := t.container.Node
 	passes := mergePasses(numSpills, t.snap.SortFactor())
@@ -160,6 +161,7 @@ func (j *Job) mapFinish(t *Task, combinedMB float64, numSpills, passes int) {
 	if j.finished || t.killed {
 		return
 	}
+	t.recycleFlows()
 	if t.logical().logicalDone {
 		// The speculative twin won while this copy was merging: discard
 		// its output so the counters stay conserved.

@@ -75,16 +75,10 @@ func (p *Pool) recycleJob(j *Job) {
 
 // recycleTask zeroes one task, dropping every reference it holds
 // (flows, ops, container, split, job) while keeping the tracking
-// slices' capacity. Finished flows are handed back to their fabric's
-// free list first: liveFlows is the sole surviving reference to them
-// (the fabric drops its own on completion, and nothing else in this
-// package retains *cluster.Flow), so the task is entitled to recycle.
-// HDFS-internal flows live inside liveOps' operation objects and are
-// deliberately left alone.
+// slices' capacity. Its flows already went back to their pools at the
+// attempt's phase boundaries (Task.recycleFlows), and HDFS ops recycle
+// their own, so whatever is left is dropped, never recycled.
 func (p *Pool) recycleTask(t *Task) {
-	for _, f := range t.liveFlows {
-		f.Recycle()
-	}
 	flows := clearSlice(t.liveFlows)
 	ops := clearSlice(t.liveOps)
 	*t = Task{liveFlows: flows, liveOps: ops,

@@ -189,12 +189,17 @@ func (j *Job) tryFetch(r *reduceRun) {
 		flows++
 	}
 	next := join(flows, func() {
+		t.recycleFlows()
 		r.busy = false
 		r.fetchingMB = 0
 		r.fetchedMB += chunk
 		j.tryFetch(r)
 	})
-	t.track(j.rm.Cluster().Fetch(t.container.Node, chunk, CrossRackFraction, rateCap, next)...)
+	first, second := j.rm.Cluster().Fetch(t.container.Node, chunk, CrossRackFraction, rateCap, next)
+	t.track(first)
+	if second != nil {
+		t.track(second)
+	}
 	if diskPart > 0 {
 		t.track(t.container.Node.DiskWrite(diskPart, next))
 	}
@@ -207,6 +212,7 @@ func (j *Job) reduceSort(r *reduceRun) {
 		return
 	}
 	t := r.task
+	t.recycleFlows()
 	p := j.bench.Profile
 	node := t.container.Node
 
@@ -242,6 +248,7 @@ func (j *Job) reduceOutput(r *reduceRun, totalIn float64) {
 		return
 	}
 	t := r.task
+	t.recycleFlows()
 	outMB := totalIn * j.bench.Profile.ReduceSelectivity
 	op := j.fs.StartWrite(t.container.Node, outMB, func() {
 		j.reduceFinish(r, outMB)

@@ -89,8 +89,9 @@ type Task struct {
 	onAllocCB    func(*yarn.Container)
 	onPreemptCB  func(*yarn.Container)
 	onNodeLostCB func(*yarn.Container)
-	// liveFlows are the attempt's in-flight resource flows, canceled
-	// when a speculative twin wins.
+	// liveFlows are the flows of the attempt's current phase, canceled
+	// when a speculative twin wins and recycled at the next phase
+	// boundary (see recycleFlows).
 	liveFlows []*cluster.Flow
 	// liveOps are the attempt's in-flight fault-tolerant HDFS
 	// operations (reads/writes that internally retry), canceled
