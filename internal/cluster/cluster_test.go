@@ -174,13 +174,18 @@ func TestFetchCrossRackFraction(t *testing.T) {
 	if !almostEqual(done, 1, 1e-6) {
 		t.Fatalf("local fetch finished at %v, want 1", done)
 	}
-	// Fetch with cross-rack component completes no faster.
+	// Fetch with cross-rack component completes no faster; done runs
+	// once per part.
 	start := eng.Now()
 	var done2 float64
-	c.Fetch(dst, 117, 0.5, 0, func() { done2 = eng.Now() })
+	calls := 0
+	c.Fetch(dst, 117, 0.5, 0, func() { done2 = eng.Now(); calls++ })
 	eng.Run()
 	if done2-start < 1-1e-6 {
 		t.Fatalf("cross-rack fetch finished too fast: %v", done2-start)
+	}
+	if calls != 2 {
+		t.Fatalf("split fetch ran done %d times, want once per part (2)", calls)
 	}
 }
 

@@ -14,15 +14,19 @@
 // completion events untouched (see docs/MODEL.md, "Fabric complexity &
 // incremental recomputation"). On a one-link fabric — each node's CPU
 // pool and disk — the component is always the whole link, and a
-// dedicated kernel fills it directly (docs/MODEL.md §9).
+// dedicated kernel fills it directly; a component whose first filling
+// round freezes every flow is finished in closed form (docs/MODEL.md
+// §9).
 //
 // Units: data quantities are in MB (1e6 bytes) and rates in MB/s; CPU
 // work is in core-seconds and CPU rates in cores. Time is in seconds.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -445,9 +449,7 @@ func (fb *Fabric) complete(f *Flow) {
 // window would make the outcome depend on accumulated drift and break
 // reproducibility).
 func (fb *Fabric) reschedule(f *Flow, now float64) {
-	if f.rate == f.prevRate && (f.ev != nil || f.rate == 0) {
-		// Rate is bit-identical to before: the scheduled completion
-		// event is still exact, leave it alone.
+	if f.settled() {
 		return
 	}
 	if f.rate > 0 {
@@ -462,6 +464,13 @@ func (fb *Fabric) reschedule(f *Flow, now float64) {
 		fb.shard.Cancel(f.ev)
 		f.ev = nil
 	}
+}
+
+// settled reports whether f's scheduled completion is still exact
+// after a recompute: the rate is bit-identical to before, and either
+// its completion event is queued or, at rate zero, none is due.
+func (f *Flow) settled() bool {
+	return f.rate == f.prevRate && (f.ev != nil || f.rate == 0)
 }
 
 // advance brings f's remaining work up to now at its current rate and
@@ -480,6 +489,21 @@ func (f *Flow) advance(now float64) {
 // relEps is progressive filling's relative freeze tolerance for caps
 // and exhausted links.
 const relEps = 1e-12
+
+// frozen is progressive filling's freeze test, run after each round
+// on the rates and the links' remaining capacity it left: f stops
+// growing once it reaches its cap or crosses an exhausted link.
+func (f *Flow) frozen() bool {
+	if f.rateCap > 0 && f.rate >= f.rateCap-relEps*f.rateCap {
+		return true
+	}
+	for _, l := range f.linkSet() {
+		if l.remaining <= relEps*l.Capacity {
+			return true
+		}
+	}
+	return false
+}
 
 // recomputeSingle is recompute for a one-link fabric, where the
 // component is always the link and every flow on it. It runs the same
@@ -577,7 +601,8 @@ func (fb *Fabric) recomputeSingle(l *Link) {
 // transitively, so their fair-share rates — and therefore their
 // scheduled completion events — are provably unaffected. On a
 // one-link fabric the component is the whole link, and recomputeSingle
-// does the work.
+// does the work; a component that the first filling round settles is
+// finished by oneRound.
 func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	if fb.single != nil && len(seeds) == 1 {
 		fb.recomputeSingle(seeds[0])
@@ -635,6 +660,9 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	// recomputed or their completion event fires.
 	for _, f := range flows {
 		f.advance(now)
+	}
+	if fb.oneRound(links, flows, now) {
+		return
 	}
 
 	// Progressive filling, scoped to the component. The arithmetic is
@@ -694,19 +722,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 		// Freeze flows that hit their cap or sit on an exhausted link.
 		for i := 0; i < len(active); {
 			f := active[i]
-			freeze := false
-			if f.rateCap > 0 && f.rate >= f.rateCap-relEps*f.rateCap {
-				freeze = true
-			}
-			if !freeze {
-				for _, l := range f.linkSet() {
-					if l.remaining <= relEps*l.Capacity {
-						freeze = true
-						break
-					}
-				}
-			}
-			if freeze {
+			if f.frozen() {
 				for _, l := range f.linkSet() {
 					l.count--
 				}
@@ -779,4 +795,71 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	for _, f := range flows {
 		fb.reschedule(f, now)
 	}
+}
+
+// oneRound finishes a general recompute in closed form when
+// progressive filling would stop after its first round because that
+// round freezes every flow of the component — nearly every network
+// recompute: a fetch or transfer joins or leaves links whose flows all
+// sit at one bottleneck or one cap. It runs on the swept and advanced
+// component and returns false when some flow would stay active; the
+// filling loop then runs, resetting every rate and link scratch value
+// it set. The result matches the loop bit for bit (docs/MODEL.md §9):
+//   - round 1's delta is the loop's: with every rate at zero, the loop's
+//     link count is len(l.flows) (every flow on a component link is in
+//     the component) and a flow's cap room is its cap;
+//   - the freeze test is the loop's own, on the same remaining capacity;
+//   - every rate is 0+delta = delta, so a link's meter sum is delta
+//     added once per flow, which no summation order can change;
+//   - reschedule acts only on flows that are not settled, and they are
+//     rescheduled in the loop's index order.
+func (fb *Fabric) oneRound(links []*Link, flows []*Flow, now float64) bool {
+	delta := math.Inf(1)
+	for _, l := range links {
+		if n := len(l.flows); n > 0 {
+			if share := l.Capacity / float64(n); share < delta {
+				delta = share
+			}
+		}
+	}
+	for _, f := range flows {
+		if f.rateCap > 0 && f.rateCap < delta {
+			delta = f.rateCap
+		}
+	}
+	if math.IsInf(delta, 1) {
+		return false
+	}
+	for _, l := range links {
+		l.remaining = l.Capacity - delta*float64(len(l.flows))
+	}
+	for _, f := range flows {
+		f.rate = delta
+		if !f.frozen() {
+			return false
+		}
+	}
+	for _, l := range links {
+		sum := 0.0
+		for range l.flows {
+			sum += delta
+		}
+		l.used.Set(now, sum)
+	}
+	// Usually at most one flow moves: the one that started, or none
+	// when a flow left.
+	moved := fb.pool.activeFlows[:0]
+	for _, f := range flows {
+		if !f.settled() {
+			moved = append(moved, f)
+		}
+	}
+	fb.pool.activeFlows = moved
+	if len(moved) > 1 {
+		slices.SortFunc(moved, func(a, b *Flow) int { return cmp.Compare(a.index, b.index) })
+	}
+	for _, f := range moved {
+		fb.reschedule(f, now)
+	}
+	return true
 }

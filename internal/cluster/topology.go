@@ -254,27 +254,22 @@ func (c *Cluster) Transfer(src, dst *Node, mb float64, done func()) *Flow {
 // none) bounds the aggregate fetch rate, modelling a limited number of
 // parallel copy threads. It returns the flows in start order: a split
 // fetch is a cross-rack flow then a rack-local one, an unsplit fetch
-// one flow and a nil second.
+// one flow and a nil second. done runs once per returned flow, as each
+// completes, so a caller waiting for the whole fetch counts both parts
+// of a split one.
 func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func()) (first, second *Flow) {
 	nf := c.netFor(dst)
 	if crossRackFrac > 0 && len(c.uplinks) > 0 {
-		// Split into a rack-local part and a cross-rack part; done fires
-		// when both complete. The rate cap is divided pro rata.
-		remaining := 2
-		child := func() {
-			remaining--
-			if remaining == 0 && done != nil {
-				done()
-			}
-		}
+		// Split into a cross-rack part and a rack-local part; the rate
+		// cap is divided pro rata.
 		capCross, capLocal := 0.0, 0.0
 		if rateCap > 0 {
 			capCross = rateCap * crossRackFrac
 			capLocal = rateCap * (1 - crossRackFrac)
 		}
 		cross := [2]*Link{dst.NICIn, c.uplinks[dst.Rack]}
-		first = nf.Start(cross[:], mb*crossRackFrac, capCross, child)
-		second = nf.Start(cross[:1], mb*(1-crossRackFrac), capLocal, child)
+		first = nf.Start(cross[:], mb*crossRackFrac, capCross, done)
+		second = nf.Start(cross[:1], mb*(1-crossRackFrac), capLocal, done)
 		return first, second
 	}
 	local := [1]*Link{dst.NICIn}

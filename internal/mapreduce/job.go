@@ -312,14 +312,9 @@ func (j *Job) requestContainerWithConfig(t *Task, cfg mrconf.Config) {
 	j.app.Request(&t.req)
 }
 
-// track registers an attempt's in-flight flow for kill support.
-func (t *Task) track(f *cluster.Flow) {
-	t.liveFlows = append(t.liveFlows, f)
-}
-
 // recycleFlows hands the flows of the phase that just ended back to
 // their fabrics' pools. Call it only at a phase boundary — the entry of
-// the callback that the phase's join opened — where every tracked flow
+// the continuation the phase's barrier runs — where every tracked flow
 // has completed and liveFlows holds the only reference: the fabric
 // dropped its own on completion, HDFS ops own (and recycle) their
 // flows, and cancelWork drops a killed attempt's flows instead of

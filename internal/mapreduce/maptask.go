@@ -107,15 +107,9 @@ func (j *Job) mapMain(t *Task) {
 		overlapMB = combinedMB * float64(numSpills-1) / float64(numSpills) * eff
 	}
 
-	flows := 1 // compute
-	if t.Split != nil {
-		flows++
-	}
-	if overlapMB > 0 {
-		flows++
-	}
-	next := join(flows, func() { j.mapMerge(t, combinedMB, overlapMB, numSpills) })
-	t.track(node.Compute(cpuSecs, coreCap, next))
+	next := t.openPhase(stepMapMerge)
+	t.phase.combinedMB, t.phase.overlapMB, t.phase.numSpills = combinedMB, overlapMB, numSpills
+	t.await(node.Compute(cpuSecs, coreCap, next))
 	if t.Split != nil {
 		op := j.fs.StartRead(t.Split, node, next)
 		att := t.Attempt
@@ -125,10 +119,10 @@ func (j *Job) mapMain(t *Task) {
 			}
 			j.taskFailedFault(t, "input split lost")
 		}
-		t.trackOp(op)
+		t.awaitOp(op)
 	}
 	if overlapMB > 0 {
-		t.track(node.DiskWrite(overlapMB, next))
+		t.await(node.DiskWrite(overlapMB, next))
 	}
 }
 
@@ -152,9 +146,10 @@ func (j *Job) mapMerge(t *Task, combinedMB, overlapMB float64, numSpills int) {
 	t.cpuSecs += mergeCPU
 
 	coreCap := math.Min(MapComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
-	done := join(2, func() { j.mapFinish(t, combinedMB, numSpills, passes) })
-	t.track(node.DiskWrite(mergeIOMB, done))
-	t.track(node.Compute(mergeCPU, coreCap, done))
+	done := t.openPhase(stepMapFinish)
+	t.phase.combinedMB, t.phase.numSpills, t.phase.passes = combinedMB, numSpills, passes
+	t.await(node.DiskWrite(mergeIOMB, done))
+	t.await(node.Compute(mergeCPU, coreCap, done))
 }
 
 func (j *Job) mapFinish(t *Task, combinedMB float64, numSpills, passes int) {
@@ -204,15 +199,4 @@ func (j *Job) mapFinish(t *Task, combinedMB float64, numSpills, passes int) {
 	j.taskSucceeded(t)
 	// New map output unblocks shuffle fetches.
 	j.wakeReducers()
-}
-
-// join returns a callback that invokes done after n invocations.
-func join(n int, done func()) func() {
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
 }

@@ -82,7 +82,7 @@ func (p *Pool) recycleTask(t *Task) {
 	flows := clearSlice(t.liveFlows)
 	ops := clearSlice(t.liveOps)
 	*t = Task{liveFlows: flows, liveOps: ops,
-		onAllocCB: t.onAllocCB, onPreemptCB: t.onPreemptCB, onNodeLostCB: t.onNodeLostCB}
+		onAllocCB: t.onAllocCB, onPreemptCB: t.onPreemptCB, onNodeLostCB: t.onNodeLostCB, arriveCB: t.arriveCB}
 	p.tasks = append(p.tasks, t)
 }
 

@@ -184,25 +184,25 @@ func (j *Job) tryFetch(r *reduceRun) {
 	rateCap := float64(t.snap.ParallelCopies()) * ShuffleStreamMBps
 
 	diskPart := chunk * r.diskFrac
-	flows := 1
-	if diskPart > 0 {
-		flows++
-	}
-	next := join(flows, func() {
-		t.recycleFlows()
-		r.busy = false
-		r.fetchingMB = 0
-		r.fetchedMB += chunk
-		j.tryFetch(r)
-	})
+	next := t.openPhase(stepFetched)
+	t.phase.run, t.phase.mb = r, chunk
 	first, second := j.rm.Cluster().Fetch(t.container.Node, chunk, CrossRackFraction, rateCap, next)
-	t.track(first)
+	t.await(first)
 	if second != nil {
-		t.track(second)
+		t.await(second)
 	}
 	if diskPart > 0 {
-		t.track(t.container.Node.DiskWrite(diskPart, next))
+		t.await(t.container.Node.DiskWrite(diskPart, next))
 	}
+}
+
+// fetched closes a shuffle fetch of chunkMB and starts the next one.
+func (j *Job) fetched(r *reduceRun, chunkMB float64) {
+	r.task.recycleFlows()
+	r.busy = false
+	r.fetchingMB = 0
+	r.fetchedMB += chunkMB
+	j.tryFetch(r)
 }
 
 // reduceSort merges spilled segments (possibly in multiple passes) and
@@ -237,9 +237,10 @@ func (j *Job) reduceSort(r *reduceRun) {
 	t.cpuSecs += cpu
 	coreCap := math.Min(ReduceComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
 
-	done := join(2, func() { j.reduceOutput(r, totalIn) })
-	t.track(node.DiskRead(readMB, done))
-	t.track(node.Compute(cpu, coreCap, done))
+	done := t.openPhase(stepReduceOutput)
+	t.phase.run, t.phase.mb = r, totalIn
+	t.await(node.DiskRead(readMB, done))
+	t.await(node.Compute(cpu, coreCap, done))
 }
 
 // reduceOutput writes the reducer's output file to HDFS.

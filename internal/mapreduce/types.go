@@ -97,7 +97,12 @@ type Task struct {
 	// operations (reads/writes that internally retry), canceled
 	// alongside liveFlows.
 	liveOps []canceler
-	killed  bool
+	// phase joins the current phase's flows and ops (see openPhase);
+	// arriveCB is t.arrive, bound once per Task object and kept by the
+	// pool, the completion callback every phase hands out.
+	phase    phaseBarrier
+	arriveCB func()
+	killed   bool
 	// Speculative-execution links: specCopy on the original points to
 	// its running shadow; specOrigin on a shadow points back. The
 	// original is the logical task; logicalDone marks the first copy

@@ -38,6 +38,10 @@ type Container struct {
 	// OnNodeLost is copied from the granting request; see Request.
 	OnNodeLost func(*Container)
 	released   bool
+	// onAllocate is the granting request's OnAllocate and launchAt the
+	// time of the container's launch event (see ResourceManager.launch).
+	onAllocate func(*Container)
+	launchAt   float64
 }
 
 // CoreCap returns the physical-core allowance of the container
@@ -219,6 +223,12 @@ type ResourceManager struct {
 	retryAt        float64
 	retryScheduled int
 	preemptions    int
+	// launches[launchHead:] are the placed containers whose launch
+	// events are queued, in the order those events fire; launchCB is
+	// rm.launch, bound once, the callback of every launch event.
+	launches   []*Container
+	launchHead int
+	launchCB   func()
 	// SchedulingDelay adds latency between a container becoming
 	// available and the task launch, modelling heartbeat granularity.
 	SchedulingDelay float64
@@ -294,6 +304,7 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 		NodeExpirySecs:     30,
 		BlacklistThreshold: 3,
 	}
+	rm.launchCB = rm.launch
 	rm.baseID = nodes[0].ID
 	n := len(nodes)
 	rm.nodeCapMem = make([]float64, n)
@@ -802,25 +813,52 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 		rm.shapeOrder = append(rm.shapeOrder, req.Resource) //mrlint:ignore retained-append bounded by distinct container shapes ever seen (a handful)
 	}
 	rm.shapeCounts[req.Resource]++
-	delay := rm.SchedulingDelay
 	// Copy the callback out of the request: once the request leaves the
 	// pending list the caller may reuse the object (the mapreduce AM
 	// embeds it in the task and re-populates it per attempt), so the
 	// deferred launch must not read through req.
-	onAllocate := req.OnAllocate
-	rm.shard.After(delay, func() {
-		if cont.released {
-			return // reclaimed by a node-loss declaration in the window
-		}
-		if rm.nodeDown[nid] {
-			// The node died inside the scheduling-delay window; the
-			// launch never happens. Reclaim the container right away
-			// (its loss notification would otherwise wait for expiry).
-			rm.reclaimLost(cont)
-			return
-		}
-		if onAllocate != nil {
-			onAllocate(cont)
-		}
-	})
+	cont.onAllocate = req.OnAllocate
+	cont.launchAt = rm.shard.After(rm.SchedulingDelay, rm.launchCB).At()
+	rm.queueLaunch(cont)
+}
+
+// queueLaunch adds c to the launch queue at its launch event's place
+// in firing order. The RM's launch events fire by time, then by
+// scheduling order, so a later launch goes last unless
+// SchedulingDelay shrank since the launches ahead of it were queued.
+func (rm *ResourceManager) queueLaunch(c *Container) {
+	q := append(rm.launches, c)
+	i := len(q) - 1
+	for ; i > rm.launchHead && q[i-1].launchAt > c.launchAt; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = c
+	rm.launches = q
+}
+
+// launch runs the launch event at the head of the queue: the container
+// placed a SchedulingDelay ago is handed to its requester.
+func (rm *ResourceManager) launch() {
+	cont := rm.launches[rm.launchHead]
+	rm.launches[rm.launchHead] = nil
+	rm.launchHead++
+	if rm.launchHead*2 >= len(rm.launches) {
+		n := copy(rm.launches, rm.launches[rm.launchHead:])
+		clear(rm.launches[n:])
+		rm.launches = rm.launches[:n]
+		rm.launchHead = 0
+	}
+	if cont.released {
+		return // reclaimed by a node-loss declaration in the window
+	}
+	if rm.nodeDown[cont.Node.ID-rm.baseID] {
+		// The node died inside the scheduling-delay window; the
+		// launch never happens. Reclaim the container right away
+		// (its loss notification would otherwise wait for expiry).
+		rm.reclaimLost(cont)
+		return
+	}
+	if cont.onAllocate != nil {
+		cont.onAllocate(cont)
+	}
 }

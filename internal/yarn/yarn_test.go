@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -280,6 +281,32 @@ func TestSchedulingDelayApplied(t *testing.T) {
 	eng.Run()
 	if at != 2.5 {
 		t.Fatalf("allocation callback at %v, want 2.5", at)
+	}
+}
+
+// TestLaunchOrderFollowsSchedulingDelay: launches run in their events'
+// firing order, which is time order — a container placed after
+// SchedulingDelay shrank launches before one placed earlier under the
+// longer delay, and each requester gets its own container.
+func TestLaunchOrderFollowsSchedulingDelay(t *testing.T) {
+	eng, _, rm := newRM(t, FIFOScheduler{})
+	app := rm.Submit("job", 1)
+	var order []string
+	request := func(name string, mem float64) {
+		app.Request(&Request{Resource: Resource{MemMB: mem, VCores: 1}, OnAllocate: func(c *Container) {
+			if c.Resource.MemMB != mem {
+				t.Errorf("%s got a %v MB container, want %v", name, c.Resource.MemMB, mem)
+			}
+			order = append(order, fmt.Sprintf("%s@%g", name, eng.Now()))
+		}})
+	}
+	rm.SchedulingDelay = 2
+	eng.At(1, func() { request("a", 512); request("b", 768) })
+	eng.At(1.5, func() { rm.SchedulingDelay = 0.5; request("c", 1024) })
+	eng.At(2, func() { rm.SchedulingDelay = 1; request("d", 256) })
+	eng.Run()
+	if got, want := fmt.Sprint(order), "[c@2 a@3 b@3 d@3]"; got != want {
+		t.Fatalf("launch order %s, want %s", got, want)
 	}
 }
 
