@@ -55,7 +55,7 @@ func run(args []string, w, stderr io.Writer) (code int) {
 		faultSpec  = flags.String("faults", "", "inject faults from this JSON spec into every run (see examples/faults/)")
 		tunerName  = flags.String("tuner", "hill", "optimizer backend for aggressive tuning runs: "+strings.Join(tuner.Backends(), "|"))
 		warmStart  = flags.String("warmstart", "", "warm-start store JSON file: load search state per job class before running, save after")
-		parallel   = flags.Int("parallel", 0, "window workers for the continuous-serving legs (rack-cell mode); 0 = serial reference")
+		cells      = flags.Bool("cells", false, "run the continuous-serving legs as one serving cell per rack")
 	)
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -98,7 +98,7 @@ func run(args []string, w, stderr io.Writer) (code int) {
 		}()
 	}
 
-	env := experiments.Env{Seed: *seed, Backend: *tunerName, Parallel: *parallel}
+	env := experiments.Env{Seed: *seed, Backend: *tunerName, Cells: *cells}
 	var store *tuner.Store
 	if *warmStart != "" {
 		if s, err := tuner.LoadStore(*warmStart); err == nil {
@@ -377,8 +377,8 @@ func stream(w io.Writer, env experiments.Env) {
 
 	header(w, "Extension: continuous serving (1h stream, 10,016 nodes, fair share)")
 	spec := streamSpec(env)
-	if env.Parallel > 0 {
-		fmt.Fprintf(w, "rack-cell mode: %d window workers\n", env.Parallel)
+	if env.Cells {
+		fmt.Fprintln(w, "rack-cell mode: one serving cell per rack")
 	}
 	fmt.Fprintf(w, "%-10s %6s %10s %9s %9s %9s\n",
 		"leg", "jobs", "makespan", "mean", "p99~", "max")
@@ -403,12 +403,12 @@ func stream(w io.Writer, env experiments.Env) {
 
 // streamSpec is the continuous-serving leg: one simulated hour of the
 // flagship stream, on the rack-cell path (with the -faults spec) when
-// -parallel is set.
+// -cells is set.
 func streamSpec(env experiments.Env) experiments.StreamSpec {
 	spec := experiments.DefaultStreamSpec(env.Seed)
 	spec.HorizonSecs = 3600
-	spec.Parallel = env.Parallel
-	if env.Parallel > 0 {
+	if env.Cells {
+		spec.Parallel = 1
 		spec.Faults = env.FaultSpec
 	}
 	return spec

@@ -30,11 +30,10 @@ type Config struct {
 	// and spread round-robin across len(RackSizes) racks (the sizes
 	// themselves are ignored).
 	Classes []NodeClass
-	// RackLocalNet restructures the network for shard-isolated serving
-	// (parallel windows): instead of one fabric on the system shard,
-	// each rack gets its own fabric — holding that rack's NICs and its
-	// uplink — on the rack's shard, so every flow event fires where the
-	// endpoints live. Cross-rack Transfer panics in this mode; it
+	// RackLocalNet restructures the network for rack-cell serving:
+	// instead of one fabric on the system shard, each rack gets its own
+	// fabric — holding that rack's NICs and its uplink — on the rack's
+	// shard, so every flow event fires where the endpoints live. Cross-rack Transfer panics in this mode; it
 	// exists for rack-cell workloads where all traffic is rack-local.
 	// Fault counters also become per-rack (see FaultsFor).
 	RackLocalNet bool

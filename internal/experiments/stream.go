@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -111,7 +110,7 @@ type StreamSpec struct {
 	Store *tuner.Store
 
 	// Sink, when non-nil, additionally receives every trace event
-	// (tee'd with the internal stats sink).
+	// (tee'd with each cell's stats sink).
 	Sink trace.Sink
 
 	// Faults, when non-nil, injects the spec's faults into the run. On
@@ -121,32 +120,19 @@ type StreamSpec struct {
 	Faults *faults.Spec
 
 	// Parallel, when positive, runs the stream as one cell per rack
-	// under parallel windows instead of as a single cell spanning the
-	// cluster. Both are the same serving loop; only the cells differ.
-	// A rack cell is self-contained (scoped resource manager, scoped
-	// single-rack namenode, rack-local fabric, private stats sink), and
-	// the only cross-shard traffic is job submission, delivered by Send
-	// with delay StreamSubmitDelaySecs. Workers drain rack windows
-	// concurrently; results are identical at any worker count (pinned
-	// by tests). Parallel is incompatible with WarmStart and Sink —
-	// both would retain cross-cell state on the system shard.
+	// instead of as a single cell spanning the cluster; its value is
+	// otherwise unused. Both are the same serving loop on the same
+	// serial engine; only the cells differ. A rack cell is
+	// self-contained (scoped resource manager, scoped single-rack
+	// namenode, rack-local fabric, private stats sink), and a job
+	// reaches its cell by Send with delay StreamSubmitDelaySecs.
 	Parallel int
-
-	// cellSerial runs the rack-cell architecture on the serial engine:
-	// the reference leg the window-invariance tests compare parallel
-	// runs against (cell results legally differ from the classic
-	// single-namenode path, so the classic path cannot be that
-	// reference).
-	cellSerial bool
 }
 
 // StreamSubmitDelaySecs is the latency from a job's arrival (drawn on
-// the system shard) to its delivery at the target rack cell — the
-// stream's only cross-shard edge, so every cross-shard interaction is
-// a Send with at least this delay. It is therefore also the rack-cell
-// path's parallel-window width: the widest window the edge allows.
-// Wider windows amortize the per-window barrier over more events; 1s
-// already yields near-full window occupancy at 313 racks.
+// the system shard) to its delivery at the target rack cell, by Send.
+// The classic single cell runs on the system shard and submits at
+// once.
 const StreamSubmitDelaySecs = 1.0
 
 // DefaultStreamSpec is the flagship workload: a simulated day of
@@ -198,8 +184,8 @@ func (r *StreamResult) Report() string {
 }
 
 // Validate reports the first reason the spec cannot run: a job class
-// without positive weight, or a rack-cell run (Parallel > 0) combined
-// with cross-cell state (WarmStart, Sink).
+// without positive weight, or a fault aimed at a node outside the
+// cluster.
 func (s StreamSpec) Validate() error {
 	for _, cl := range s.Classes {
 		if cl.Weight <= 0 {
@@ -207,27 +193,16 @@ func (s StreamSpec) Validate() error {
 		}
 	}
 	if s.Faults != nil {
-		if err := s.Faults.CheckNodes(s.Racks * s.NodesPerRack); err != nil {
-			return err
-		}
-	}
-	if s.Parallel <= 0 && !s.cellSerial {
-		return nil
-	}
-	switch {
-	case s.WarmStart:
-		return errors.New("experiments: stream Parallel is incompatible with WarmStart (the shared store is cross-cell state)")
-	case s.Sink != nil:
-		return errors.New("experiments: stream Parallel is incompatible with Sink (an external sink is cross-cell state)")
+		return s.Faults.CheckNodes(s.Racks * s.NodesPerRack)
 	}
 	return nil
 }
 
 // streamCell is one self-contained serving stack: everything a job
-// touches after submission lives on the cell's shard. The classic run
-// is a single cell spanning the cluster on the system shard; the
-// rack-cell run has one cell per rack, and those drain concurrently
-// inside parallel windows with no shared state.
+// touches after submission lives on the cell's shard, apart from the
+// warm-start store and StreamSpec.Sink, which every cell shares. The
+// classic run is a single cell spanning the cluster on the system
+// shard; the rack-cell run has one cell per rack.
 type streamCell struct {
 	shard     *sim.Shard
 	rm        *yarn.ResourceManager
@@ -243,15 +218,19 @@ type streamCell struct {
 	makespan  float64
 }
 
-func newStreamCell(shard *sim.Shard, classes int) *streamCell {
+func newStreamCell(shard *sim.Shard, classes int, ext trace.Sink) *streamCell {
 	stats := trace.NewStatsSink()
-	return &streamCell{
+	cell := &streamCell{
 		shard:     shard,
 		stats:     stats,
 		sink:      stats,
 		pool:      mapreduce.NewPool(),
 		tunerFree: make([][]*core.Tuner, classes),
 	}
+	if ext != nil {
+		cell.sink = trace.Tee(stats, ext)
+	}
+	return cell
 }
 
 // injectFaults attaches an injector for spec, drawing from src, to
@@ -285,7 +264,7 @@ func RunStream(spec StreamSpec) StreamResult {
 	for _, cl := range classes {
 		totalWeight += cl.Weight
 	}
-	rackCells := spec.Parallel > 0 || spec.cellSerial
+	rackCells := spec.Parallel > 0
 
 	eng := sim.NewEngine()
 	eng.MaxEvents = 2_000_000_000
@@ -304,9 +283,6 @@ func RunStream(spec StreamSpec) StreamResult {
 		UplinkMBps:   1000,
 		RackLocalNet: rackCells,
 	})
-	if spec.Parallel > 0 {
-		eng.EnableParallelWindows(spec.Parallel, StreamSubmitDelaySecs)
-	}
 	src := sim.NewSource(spec.Seed)
 	sys := c.Sys()
 	base := mrconf.Default()
@@ -319,7 +295,7 @@ func RunStream(spec StreamSpec) StreamResult {
 		cells = make([]*streamCell, spec.Racks)
 		for r := range cells {
 			rackSrc := src.Sub(fmt.Sprintf("rack%03d", r))
-			cell := newStreamCell(c.RackShard(r), len(classes))
+			cell := newStreamCell(c.RackShard(r), len(classes), spec.Sink)
 			cell.rm = yarn.NewScopedResourceManager(eng, c, yarn.FairScheduler{}, r)
 			cell.fs = hdfs.NewScoped(c, rackSrc.Stream("hdfs"), r)
 			if spec.Faults != nil {
@@ -330,12 +306,9 @@ func RunStream(spec StreamSpec) StreamResult {
 			cells[r] = cell
 		}
 	} else {
-		cell := newStreamCell(sys, len(classes))
+		cell := newStreamCell(sys, len(classes), spec.Sink)
 		cell.rm = yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
 		cell.fs = hdfs.New(c, src.Stream("hdfs"))
-		if spec.Sink != nil {
-			cell.sink = trace.Tee(cell.stats, spec.Sink)
-		}
 		if spec.Faults != nil {
 			cell.injectFaults(c, src, *spec.Faults)
 		}
@@ -354,8 +327,7 @@ func RunStream(spec StreamSpec) StreamResult {
 		return len(classes) - 1
 	}
 
-	// The warm-start store is shared by every job, so Validate keeps it
-	// to the single system-shard cell.
+	// The warm-start store is shared by every job of every cell.
 	var store *tuner.Store
 	if spec.Tuned && spec.WarmStart {
 		store = spec.Store
@@ -377,8 +349,7 @@ func RunStream(spec StreamSpec) StreamResult {
 		cl := classes[ci]
 		cell := cells[(res.Jobs-1)%len(cells)]
 		// Name, class, and tuner seed are all fixed here on the system
-		// shard; run only touches its cell's state (and, on the system
-		// shard, the warm-start store).
+		// shard; run touches its cell's state and the warm-start store.
 		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
 		run := func() {
 			var ctrl mapreduce.Controller
@@ -445,8 +416,8 @@ func RunStream(spec StreamSpec) StreamResult {
 	}
 	eng.Run()
 
-	// Fold per-cell results in cell order: the float sums and the sink
-	// merge see the same sequence at every worker count.
+	// Fold per-cell results in cell order, so the float sums and the
+	// sink merge see a fixed sequence.
 	res.Stats = cells[0].stats
 	if len(cells) > 1 {
 		res.Stats = trace.NewStatsSink()

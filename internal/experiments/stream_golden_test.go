@@ -25,15 +25,17 @@ func (s *hashSink) Add(e trace.Event) { fmt.Fprintf(s.h, "%+v\n", e) }
 
 // renderStreamGolden runs one leg and renders everything the golden
 // file pins about it: the report, the engine and sink event counts,
-// the exact mean and makespan, the warm-start wave record and, on legs
-// that accept an external sink, a digest of every trace event.
-func renderStreamGolden(name string, spec StreamSpec) string {
-	var hs *hashSink
-	if spec.Parallel == 0 && !spec.cellSerial {
-		hs = &hashSink{h: sha256.New()}
-		spec.Sink = hs
-	}
+// the exact mean and makespan, the warm-start wave record and a digest
+// of every trace event. It also checks that the "cluster" pseudo-job
+// that carries node faults never counts as a finished job.
+func renderStreamGolden(t *testing.T, name string, spec StreamSpec) string {
+	t.Helper()
+	hs := &hashSink{h: sha256.New()}
+	spec.Sink = hs
 	res := RunStream(spec)
+	if n := res.Stats.Class("cluster").Jobs; n != 0 {
+		t.Errorf("%s: cluster pseudo-class finished %d jobs, want 0", name, n)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n%s", name, res.Report())
 	fmt.Fprintf(&b, "events=%d sink_events=%d\n", res.Events, res.SinkEvents)
@@ -46,9 +48,7 @@ func renderStreamGolden(name string, spec StreamSpec) string {
 	for _, c := range classes {
 		fmt.Fprintf(&b, "class_waves %s=%v\n", c, res.ClassWaves[c])
 	}
-	if hs != nil {
-		fmt.Fprintf(&b, "trace_sha256=%x\n", hs.h.Sum(nil))
-	}
+	fmt.Fprintf(&b, "trace_sha256=%x\n", hs.h.Sum(nil))
 	return b.String()
 }
 
@@ -59,9 +59,8 @@ func renderStreamGolden(name string, spec StreamSpec) string {
 // file with -update-stream-golden only when that change is intended.
 func TestStreamGolden(t *testing.T) {
 	// Five classic legs (plain, tuned, warm-start, crash churn, churn
-	// with tuning) and three rack-cell legs (the serial-engine
-	// reference, two window workers, two workers under churn with
-	// tuning).
+	// with tuning) and three rack-cell legs (plain, churn with tuning,
+	// warm-start).
 	plain := smallStreamSpec(11)
 	tuned := plain
 	tuned.Tuned = true
@@ -71,12 +70,12 @@ func TestStreamGolden(t *testing.T) {
 	faulted.Faults = churnSpec()
 	faultedTuned := faulted
 	faultedTuned.Tuned = true
-	cellSerial := plain
-	cellSerial.cellSerial = true
-	parallel := plain
-	parallel.Parallel = 2
-	parallelChurn := faultedTuned
-	parallelChurn.Parallel = 2
+	cells := plain
+	cells.Parallel = 1
+	cellsChurn := faultedTuned
+	cellsChurn.Parallel = 1
+	cellsWarm := warm
+	cellsWarm.Parallel = 1
 
 	var b strings.Builder
 	for _, leg := range []struct {
@@ -88,11 +87,11 @@ func TestStreamGolden(t *testing.T) {
 		{"warmstart", warm},
 		{"faults", faulted},
 		{"faults+tuned", faultedTuned},
-		{"cellserial", cellSerial},
-		{"parallel2", parallel},
-		{"parallel2+faults+tuned", parallelChurn},
+		{"cells", cells},
+		{"cells+faults+tuned", cellsChurn},
+		{"cells+warmstart", cellsWarm},
 	} {
-		b.WriteString(renderStreamGolden(leg.name, leg.spec))
+		b.WriteString(renderStreamGolden(t, leg.name, leg.spec))
 	}
 	path := filepath.Join("testdata", "stream_golden.txt")
 	got := b.String()

@@ -4,6 +4,9 @@ package faults_test
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -53,6 +56,11 @@ func TestValidateRejects(t *testing.T) {
 		{NodeSlow: []faults.NodeSlow{{At: 0, Node: 0, Factor: 1.5, Window: 10}}},
 		{DiskDegrades: []faults.DiskDegrade{{At: 0, Node: 0, Factor: 0.5, Window: -1}}},
 		{LinkFlaps: []faults.LinkFlap{{At: 0, Node: 0, Window: -5}}},
+		{NodeCrashes: []faults.NodeCrash{{At: 1e308, Node: 1, RestartAfter: 1e308}}},
+		{NodeSlow: []faults.NodeSlow{{At: 1e308, Node: 0, Factor: 0.5, Window: 1e308}}},
+		{DiskDegrades: []faults.DiskDegrade{{At: math.MaxFloat64, Node: 0, Factor: 0.5, Window: 1e300}}},
+		{LinkFlaps: []faults.LinkFlap{{At: 1e308, Node: 0, Window: 1e308}}},
+		{NodeCrashes: []faults.NodeCrash{{At: math.NaN(), Node: 0}}},
 		{FetchFailRate: 1.0},
 		{FetchFailRate: -0.1},
 		{TaskAttemptFail: &faults.TaskAttemptFail{Rate: 1.5}},
@@ -75,6 +83,45 @@ func TestParseRejectsGarbage(t *testing.T) {
 	if _, err := faults.Parse([]byte(`{"fetch_fail_rate": 2}`)); err == nil {
 		t.Fatal("Parse accepted an invalid spec")
 	}
+}
+
+// overflowSpec schedules a restart past the largest float64: its end
+// time is +Inf, which the engine refuses to schedule.
+const overflowSpec = `{"node_crashes":[{"at":1e308,"node":1,"restart_after":1e308}]}`
+
+// FuzzFaultSpec: arbitrary spec JSON must never panic or hang. Parse
+// and CheckNodes either reject it, or an injector armed with it on
+// the testbed runs to an empty queue.
+func FuzzFaultSpec(f *testing.F) {
+	f.Add(overflowSpec)
+	examples, err := filepath.Glob("../../examples/faults/*.json")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example fault specs: %v", err)
+	}
+	for _, path := range examples {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		spec, err := faults.Parse([]byte(data))
+		if err != nil {
+			return
+		}
+		r := experiments.Env{Seed: 1}.NewRig(yarn.FIFOScheduler{})
+		if spec.CheckNodes(len(r.C.Nodes)) != nil {
+			return
+		}
+		if _, err := faults.New(r.C, sim.NewSource(1), *spec, nil); err != nil {
+			t.Fatalf("New rejected a spec Parse and CheckNodes accepted: %v", err)
+		}
+		// Every fault schedules at most two events; anything more is a
+		// runaway, reported as a panic instead of a hang.
+		r.Eng.MaxEvents = 1_000_000
+		r.Eng.Run()
+	})
 }
 
 func TestNewRejectsBadNodeIndex(t *testing.T) {

@@ -11,6 +11,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -108,12 +109,20 @@ func (s *Spec) FilterNodes(keep func(node int) bool) Spec {
 	return out
 }
 
+// finite reports whether a fault's end time (its start plus its
+// restart delay or window) is a finite simulation time: the injector
+// schedules an event there, and the engine rejects non-finite times.
+func finite(t float64) bool { return !math.IsInf(t, 0) && !math.IsNaN(t) }
+
 // Validate checks ranges that do not depend on the target cluster
 // (node indices are checked against the cluster by CheckNodes).
 func (s *Spec) Validate() error {
 	for i, c := range s.NodeCrashes {
 		if c.At < 0 || c.RestartAfter < 0 || c.Node < 0 {
 			return fmt.Errorf("faults: node_crashes[%d]: negative at/restart_after/node", i)
+		}
+		if !finite(c.At + c.RestartAfter) {
+			return fmt.Errorf("faults: node_crashes[%d]: at + restart_after is not a finite time", i)
 		}
 	}
 	for i, sl := range s.NodeSlow {
@@ -123,6 +132,9 @@ func (s *Spec) Validate() error {
 		if sl.At < 0 || sl.Window < 0 || sl.Node < 0 {
 			return fmt.Errorf("faults: node_slow[%d]: negative at/window/node", i)
 		}
+		if !finite(sl.At + sl.Window) {
+			return fmt.Errorf("faults: node_slow[%d]: at + window is not a finite time", i)
+		}
 	}
 	for i, d := range s.DiskDegrades {
 		if d.Factor <= 0 || d.Factor > 1 {
@@ -131,10 +143,16 @@ func (s *Spec) Validate() error {
 		if d.At < 0 || d.Window < 0 || d.Node < 0 {
 			return fmt.Errorf("faults: disk_degrades[%d]: negative at/window/node", i)
 		}
+		if !finite(d.At + d.Window) {
+			return fmt.Errorf("faults: disk_degrades[%d]: at + window is not a finite time", i)
+		}
 	}
 	for i, l := range s.LinkFlaps {
 		if l.At < 0 || l.Window < 0 || l.Node < 0 {
 			return fmt.Errorf("faults: link_flaps[%d]: negative at/window/node", i)
+		}
+		if !finite(l.At + l.Window) {
+			return fmt.Errorf("faults: link_flaps[%d]: at + window is not a finite time", i)
 		}
 	}
 	if s.FetchFailRate < 0 || s.FetchFailRate >= 1 {

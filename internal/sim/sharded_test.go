@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -239,7 +241,7 @@ func TestLazyShardWakeup(t *testing.T) {
 
 // TestEngineRunUntilClampAcrossShards mirrors the single-heap clamp
 // semantics: RunUntil(t) advances the clock to t when the queues drain
-// early, and shard Now() agrees with the engine outside windows.
+// early, and shard Now() agrees with the engine clock.
 func TestEngineRunUntilClampAcrossShards(t *testing.T) {
 	eng := NewEngine()
 	s := eng.NewShard("s")
@@ -254,5 +256,46 @@ func TestEngineRunUntilClampAcrossShards(t *testing.T) {
 	}
 	if s.Now() != 5 {
 		t.Fatalf("shard clock = %v, want 5", s.Now())
+	}
+}
+
+// TestSendTieOrder pins Send's delivery order: a send is dst.At at
+// now+delay, so deliveries fire by time and then by send order, with
+// exact timestamp ties across source shards broken by which source
+// sent first. Sends are issued out of time order, so the order is the
+// queue's, not the issue order.
+func TestSendTieOrder(t *testing.T) {
+	eng := NewEngine()
+	s1 := eng.NewShard("s1")
+	s2 := eng.NewShard("s2")
+	dst := eng.NewShard("dst")
+	var log []string
+	recv := func(tag string) func() {
+		return func() { log = append(log, fmt.Sprintf("%.1f %s", dst.Now(), tag)) }
+	}
+	// Both source shards fire at t=1; each sends twice to dst, later
+	// delivery first, with the 2.0 arrivals an exact cross-shard tie.
+	s1.At(1, func() {
+		s1.Send(dst, 1.5, recv("s1-late"))
+		s1.Send(dst, 1.0, recv("s1-early"))
+	})
+	s2.At(1, func() {
+		s2.Send(dst, 1.5, recv("s2-late"))
+		s2.Send(dst, 1.0, recv("s2-early"))
+	})
+	eng.Run()
+	want := []string{"2.0 s1-early", "2.0 s2-early", "2.5 s1-late", "2.5 s2-late"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("delivery order %v, want %v", log, want)
+	}
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Send with delay %v did not panic", d)
+				}
+			}()
+			s1.Send(dst, d, func() {})
+		}()
 	}
 }
